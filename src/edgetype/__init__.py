@@ -7,12 +7,10 @@ local-structure distortion.
 """
 
 from .graphs import (
-    DegreePair,
     DiGraph,
     DistortionValue,
     and_,
     complement,
-    degrees,
     density,
     distortion,
     respects_restriction,
@@ -34,13 +32,11 @@ from .typealg import (
 
 __all__ = [
     "DiGraph",
-    "DegreePair",
     "DistortionValue",
     "EdgeType",
     "StructureMatrix",
     "InvariantMasks",
     "ComponentPartition",
-    "degrees",
     "xor",
     "and_",
     "complement",

@@ -109,12 +109,8 @@ def _emit_lines(objs, out_path: str | None) -> None:
 
 def cmd_feasible(args) -> int:
     t = parse_type(_load_json(args.type))
-    ok = typealg.gale_ryser_feasible(t.r, t.c)
-    if ok and not t.unrestricted:
-        ok = typealg.restriction_necessary(t)
-        if ok:
-            ok = enumeration.count_class(t, limit=args.limit) > 0
-    _emit({"feasible": bool(ok)}, args.out)
+    ok = enumeration.class_nonempty(t, limit=args.limit)
+    _emit({"feasible": ok}, args.out)
     return EXIT_OK if ok else EXIT_EMPTY
 
 
@@ -145,10 +141,7 @@ def cmd_structure(args) -> int:
 
 def cmd_invariants(args) -> int:
     t = parse_type(_load_json(args.type))
-    if t.unrestricted:
-        masks = typealg.invariant_positions(t)
-    else:
-        masks = enumeration.invariants_by_enumeration(t, limit=args.limit)
+    masks = enumeration.class_invariants(t, limit=args.limit)
     _emit(
         {
             "inv1": graph_json(masks.inv1),
@@ -201,9 +194,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_interchange_check(args) -> int:
     t = parse_type(_load_json(args.type))
-    connected = enumeration.interchange_connected(t, limit=args.limit)
-    members = enumeration.count_class(t, limit=args.limit)
-    _emit({"connected": connected, "members": members}, args.out)
+    reached, members = enumeration.interchange_reach(t, limit=args.limit)
+    _emit({"connected": reached == members, "members": members}, args.out)
     return EXIT_OK
 
 
@@ -228,10 +220,10 @@ def cmd_maxent(args) -> int:
 
 def cmd_bounds(args) -> int:
     t = parse_type(_load_json(args.type))
-    alpha, gap = maxent.barvinok_bounds(t, tol=args.tol, limit=args.limit)
+    alpha, gap, count = maxent.barvinok_bounds(t, tol=args.tol, limit=args.limit)
     out = {"alpha": alpha, "measured_gap": gap}
-    if t.n <= args.limit:
-        out["count"] = enumeration.count_class(t, limit=args.limit)
+    if count is not None:
+        out["count"] = count
     _emit(out, args.out)
     return EXIT_OK
 
@@ -435,9 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--limit", type=int, default=enumeration.DEFAULT_LIMIT)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
         return sp
 
     add("feasible", cmd_feasible, type=True)

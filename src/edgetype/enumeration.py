@@ -18,16 +18,25 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graphs import DiGraph, respects_restriction, xor
-from .typealg import ComponentPartition, EdgeType, InvariantMasks, gale_ryser_feasible
+from .typealg import (
+    ComponentPartition,
+    EdgeType,
+    InvariantMasks,
+    gale_ryser_feasible,
+    invariant_positions,
+    restriction_necessary,
+)
 
 __all__ = [
     "EnumerationLimitError",
     "DEFAULT_LIMIT",
-    "estimated_work",
     "enumerate_class",
     "count_class",
+    "class_nonempty",
+    "class_invariants",
     "partition_by_type",
     "interchange_neighbors",
+    "interchange_reach",
     "interchange_connected",
     "enumerate_delta_class",
     "delta_degree_choices",
@@ -48,11 +57,6 @@ def _check_limit(n: int, limit: int) -> None:
         raise EnumerationLimitError(
             f"n={n} exceeds enumeration limit {limit} (estimated work 2^{n * n})"
         )
-
-
-def estimated_work(n: int) -> int:
-    """Upper bound on the number of adjacency matrices a search may touch."""
-    return 1 << (n * n)
 
 
 def _row_patterns(allowed: tuple[int, ...], k: int, n: int) -> list[int]:
@@ -143,6 +147,23 @@ def count_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> int:
     return sum(1 for _ in _enumerate_bits(t.r, t.c, w_rows, t.n))
 
 
+def class_nonempty(t: EdgeType, limit: int = DEFAULT_LIMIT) -> bool:
+    """Whether T(r, c, W) has a member.  Gale-Ryser decides it when W is
+    complete; otherwise a failed necessary condition certifies emptiness,
+    and a search for one member settles the rest."""
+    if not restriction_necessary(t):
+        return False
+    return t.unrestricted or next(enumerate_class(t, limit=limit), None) is not None
+
+
+def class_invariants(t: EdgeType, limit: int = DEFAULT_LIMIT) -> InvariantMasks:
+    """Invariant masks of a nonempty class: from the structure matrix when
+    W is complete, by intersecting the members otherwise."""
+    if t.unrestricted:
+        return invariant_positions(t)
+    return invariants_by_enumeration(t, limit=limit)
+
+
 def _graph_rows(g: DiGraph) -> list[int]:
     n = g.n
     a = g.adj
@@ -204,13 +225,12 @@ def _swapped(g: DiGraph, i1: int, i2: int, j1: int, j2: int) -> DiGraph:
     return DiGraph(b)
 
 
-def interchange_connected(t: EdgeType, limit: int = DEFAULT_LIMIT) -> bool:
-    """BFS over single interchanges from the first member; True iff the
-    walk reaches the whole class."""
+def interchange_reach(t: EdgeType, limit: int = DEFAULT_LIMIT) -> tuple[int, int]:
+    """BFS over single interchanges from the first member.  Returns
+    (members reached, class size); the walk is connected iff they agree."""
     members = list(enumerate_class(t, limit=limit))
     if not members:
         raise ValueError("empty class has no interchange graph")
-    target = set(members)
     seen = {members[0]}
     frontier = [members[0]]
     while frontier:
@@ -221,7 +241,13 @@ def interchange_connected(t: EdgeType, limit: int = DEFAULT_LIMIT) -> bool:
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    return seen == target
+    return len(seen), len(members)
+
+
+def interchange_connected(t: EdgeType, limit: int = DEFAULT_LIMIT) -> bool:
+    """True iff interchange walks from one member reach the whole class."""
+    reached, members = interchange_reach(t, limit=limit)
+    return reached == members
 
 
 def delta_degree_choices(value: int, n: int, delta: float, dens: int) -> list[int]:
@@ -277,7 +303,10 @@ def enumerate_conditional(
 
 def invariants_by_enumeration(t: EdgeType, limit: int = DEFAULT_LIMIT) -> InvariantMasks:
     """Invariant 1-/0-positions by intersecting all class members."""
-    members = list(enumerate_class(t, limit=limit))
+    return _intersect(list(enumerate_class(t, limit=limit)))
+
+
+def _intersect(members: list[DiGraph]) -> InvariantMasks:
     if not members:
         raise ValueError("empty class has no invariant positions")
     inv1 = members[0].adj.copy()
@@ -303,7 +332,6 @@ def components_by_enumeration(t: EdgeType, limit: int = DEFAULT_LIMIT) -> Compon
     if not members:
         raise ValueError("empty class has no components")
     n = t.n
-    inv = invariants_by_enumeration(t, limit=limit)
     # 2D prefix sums per member make each corner check O(1):
     # top-left all ones  <=> prefix[e][f] == e*f
     # bottom-right all zeros <=> total - row strip - col strip + prefix == 0
@@ -321,21 +349,8 @@ def components_by_enumeration(t: EdgeType, limit: int = DEFAULT_LIMIT) -> Compon
                 for p in prefixes
             ):
                 corners.append((e, f))
-    row_cuts = sorted({e for e, _ in corners if 0 < e < n})
-    col_cuts = sorted({f for _, f in corners if 0 < f < n})
-    row_blocks = _blocks(n, row_cuts)
-    col_blocks = _blocks(n, col_cuts)
-    free = inv.free.adj
-    blocks = []
-    for rows in row_blocks:
-        for cols in col_blocks:
-            trivial = not free[np.ix_(rows, cols)].any()
-            blocks.append((rows, cols, trivial))
-    return ComponentPartition(
-        row_blocks=tuple(row_blocks), col_blocks=tuple(col_blocks), blocks=tuple(blocks)
+    return ComponentPartition.from_cuts(
+        sorted({e for e, _ in corners if 0 < e < n}),
+        sorted({f for _, f in corners if 0 < f < n}),
+        _intersect(members).free.adj,
     )
-
-
-def _blocks(n: int, cuts: list[int]) -> list[tuple[int, ...]]:
-    bounds = [0, *cuts, n]
-    return [tuple(range(bounds[k], bounds[k + 1])) for k in range(len(bounds) - 1)]

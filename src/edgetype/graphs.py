@@ -1,4 +1,4 @@
-"""Directed-graph values, degree extraction, boolean algebra, and the
+"""Directed-graph values, boolean algebra, and the
 per-vertex local-structure distortion measure.
 
 Graphs live on the vertex set {1, ..., n} (stored 0-indexed), self-loops
@@ -16,9 +16,7 @@ import numpy as np
 
 __all__ = [
     "DiGraph",
-    "DegreePair",
     "DistortionValue",
-    "degrees",
     "xor",
     "and_",
     "complement",
@@ -37,7 +35,7 @@ class DiGraph:
         a = np.asarray(adj, dtype=np.uint8)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
-        if a.size and not np.isin(a, (0, 1)).all():
+        if (a > 1).any():
             raise ValueError("adjacency entries must be 0 or 1")
         a.setflags(write=False)
         self._adj = a
@@ -101,22 +99,6 @@ class DiGraph:
         return f"DiGraph({self.tolist()})"
 
 
-@dataclass(frozen=True)
-class DegreePair:
-    """Out-degree vector r and in-degree vector c of a directed graph."""
-
-    r: tuple[int, ...]
-    c: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.r) != len(self.c):
-            raise ValueError("r and c must have equal length")
-
-    @property
-    def n(self) -> int:
-        return len(self.r)
-
-
 @dataclass(frozen=True, order=True)
 class DistortionValue:
     """Exact rational distortion k/n, k in [0, n]."""
@@ -133,14 +115,6 @@ class DistortionValue:
 
     def __float__(self) -> float:
         return self.numerator / self.denominator
-
-
-def degrees(g: DiGraph) -> DegreePair:
-    """Row sums (out-degrees) and column sums (in-degrees) of the adjacency matrix."""
-    return DegreePair(
-        r=tuple(int(x) for x in g.adj.sum(axis=1)),
-        c=tuple(int(x) for x in g.adj.sum(axis=0)),
-    )
 
 
 def _check_same_n(g: DiGraph, h: DiGraph) -> None:

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .enumeration import class_invariants, count_class
 from .graphs import DiGraph
-from .typealg import EdgeType, invariant_positions, reduce_by_invariants
+from .typealg import EdgeType, reduce_by_invariants
 
 __all__ = [
     "ProductRandomGraph",
@@ -30,6 +31,7 @@ __all__ = [
     "dual_objective",
     "dual_gradient",
     "solve_maxent",
+    "counting_gap",
     "barvinok_bounds",
     "polytope_membership",
 ]
@@ -212,7 +214,7 @@ def solve_maxent(
     n = t.n
     if tol is None:
         tol = 1e-10 * max(n, 1)
-    masks = _masks(t)
+    masks = class_invariants(t)
     reduced = reduce_by_invariants(t, masks)
     w = reduced.w.adj.astype(float)
     r = np.asarray(reduced.r, dtype=float)
@@ -242,33 +244,25 @@ def solve_maxent(
     return f, DualVars(tuple(s), tuple(tv)), report
 
 
-def _masks(t: EdgeType):
-    if t.unrestricted:
-        return invariant_positions(t)
-    from .enumeration import invariants_by_enumeration
-
-    return invariants_by_enumeration(t)
+def counting_gap(entropy_nats: float, count: int, n: int) -> float:
+    """(H - ln count) / (n ln n): the measured stand-in for the universal
+    constant in the counting lower bound."""
+    denom = n * math.log(n) if n > 1 else 1.0
+    return (entropy_nats - math.log(count)) / denom
 
 
 def barvinok_bounds(
     t: EdgeType, tol: float | None = None, limit: int = 6
-) -> tuple[float, float | None]:
-    """alpha(T) = e^{H(F_T)} plus, when the class is enumerable, the
-    measured gap (ln alpha - ln count) / (n ln n) standing in for the
-    universal constant in the counting lower bound."""
+) -> tuple[float, float | None, int | None]:
+    """(alpha, gap, count): alpha(T) = e^{H(F_T)} plus, when the class is
+    enumerable, its size and the measured counting gap."""
     _, _, report = solve_maxent(t, tol=tol)
-    alpha = report.alpha
     if t.n > limit:
-        return alpha, None
-    from .enumeration import count_class
-
+        return report.alpha, None, None
     count = count_class(t, limit=limit)
     if count == 0:
         raise ValueError("empty class has no counting bounds")
-    num = report.entropy_nats - math.log(count)
-    denom = t.n * math.log(t.n) if t.n > 1 else 1.0
-    gap = num / denom if denom > 0 else 0.0
-    return alpha, gap
+    return report.alpha, counting_gap(report.entropy_nats, count, t.n), count
 
 
 def polytope_membership(f: ProductRandomGraph, t: EdgeType, tol: float = 1e-8) -> bool:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .enumeration import enumerate_class
 from .graphs import DiGraph
 from .maxent import ProductRandomGraph, solve_maxent
 from .typealg import EdgeType
@@ -197,8 +198,6 @@ def typeclass_prob_bounds(
     measured stand-in for the quasi-polynomial factor; above the limit
     lower is None (the universal constant is unknown).
     """
-    from .enumeration import count_class, enumerate_class
-
     f = family_d_graph(params)
     ft, _, report = solve_maxent(t, tol=tol)
     kl = kl_sum(ft, f)
@@ -207,10 +206,11 @@ def typeclass_prob_bounds(
     upper = math.exp(-kl)
     if t.n > limit:
         return None, upper, None
-    count = count_class(t, limit=limit)
+    count = 0
     exact = 0.0
     for g in enumerate_class(t, limit=limit):
         exact += graph_prob(f, g)
+        count += 1
     lower = math.exp(-kl + math.log(count) - report.entropy_nats) if count else 0.0
     return lower, upper, exact
 
@@ -229,8 +229,6 @@ def sanov_bounds(
     """
     if not types:
         raise ValueError("need at least one type")
-    from .enumeration import count_class, enumerate_class
-
     f = family_d_graph(params)
     n = types[0].n
     seen: set[tuple] = set()
@@ -248,13 +246,14 @@ def sanov_bounds(
         kl = kl_sum(ft, f)
         min_kl = min(min_kl, kl)
         if n <= limit:
-            count = count_class(t, limit=limit)
+            count = 0
+            for g in enumerate_class(t, limit=limit):
+                exact += graph_prob(f, g)
+                count += 1
             if count == 0:
                 raise ValueError("empty type in collection")
             gap = max(0.0, report.entropy_nats - math.log(count))
             max_gap = max(max_gap, gap)
-            for g in enumerate_class(t, limit=limit):
-                exact += graph_prob(f, g)
         else:
             exact = None
     if math.isinf(min_kl):

@@ -15,27 +15,24 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
+from .enumeration import class_nonempty, count_class, enumerate_class, enumerate_delta_class
 from .graphs import DiGraph, DistortionValue, distortion
-from .maxent import ProductRandomGraph, binary_entropy, solve_maxent
-from .typealg import EdgeType, gale_ryser_feasible
+from .maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
+from .probability import graph_prob
+from .typealg import EdgeType
 
 __all__ = [
-    "OmegaSet",
     "Codebook",
     "RDReport",
-    "omega",
     "omega_iter",
     "sign_variants",
     "delta_class_cardinality_bounds",
     "high_prob_set_lower",
-    "covering_rate_bound",
     "build_cover_random",
     "verify_cover",
     "rd_upper",
@@ -44,18 +41,7 @@ __all__ = [
     "exact_rn_prob",
 ]
 
-OMEGA_CAP = 1_000_000
 POOL_DRAW_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class OmegaSet:
-    """Distortion budgets: pairs of nonnegative integer degree vectors with
-    entries at most floor(Xi * n)."""
-
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    xi: Fraction
-    n: int
 
 
 @dataclass(frozen=True)
@@ -105,15 +91,6 @@ def omega_iter(xi, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
             yield d_r, d_c
 
 
-def omega(xi, n: int, cap: int = OMEGA_CAP) -> OmegaSet:
-    xf = _as_fraction(xi)
-    k = int(xf * n)
-    size = (k + 1) ** (2 * n)
-    if size > cap:
-        raise ValueError(f"|Omega| = {size} exceeds materialization cap {cap}; use omega_iter")
-    return OmegaSet(pairs=tuple(omega_iter(xi, n)), xi=xf, n=n)
-
-
 def sign_variants(t: EdgeType, d_r: Sequence[int], d_c: Sequence[int]) -> list[EdgeType]:
     """All types (r +/- d_r, c +/- d_c) with per-coordinate signs,
     deduplicated and filtered to degrees in [0, n] with equal totals."""
@@ -139,14 +116,6 @@ def sign_variants(t: EdgeType, d_r: Sequence[int], d_c: Sequence[int]) -> list[E
     return out
 
 
-def _feasible(t: EdgeType, limit: int = 6) -> bool:
-    if t.unrestricted:
-        return gale_ryser_feasible(t.r, t.c)
-    from .enumeration import count_class
-
-    return count_class(t, limit=limit) > 0
-
-
 def _entropy_of(t: EdgeType, tol: float | None) -> float:
     _, _, report = solve_maxent(t, tol=tol)
     return report.entropy_nats
@@ -155,15 +124,12 @@ def _entropy_of(t: EdgeType, tol: float | None) -> float:
 def _measured_gap(t: EdgeType, h: float, limit: int = 6) -> float:
     """(H - ln count) / (n ln n), floored at 0: the enumerable stand-in
     for the universal counting constant."""
-    from .enumeration import count_class
-
     if t.n > limit:
         return 0.0
     count = count_class(t, limit=limit)
     if count == 0:
         raise ValueError("empty class has no measured gap")
-    denom = t.n * math.log(t.n) if t.n > 1 else 1.0
-    return max(0.0, (h - math.log(count)) / denom)
+    return max(0.0, counting_gap(h, count, t.n))
 
 
 def delta_class_cardinality_bounds(
@@ -175,7 +141,7 @@ def delta_class_cardinality_bounds(
 
     with the measured counting gap in place of the universal constant.
     """
-    if not _feasible(t, limit=limit):
+    if not class_nonempty(t, limit=limit):
         raise ValueError("empty class")
     n = t.n
     h = _entropy_of(t, tol)
@@ -239,12 +205,12 @@ def _covering_scan(
 
     for d_r, d_c in omega_iter(xi, n):
         dist_type = EdgeType(d_r, d_c, t.w)
-        if not _feasible(dist_type, limit=limit):
+        if not class_nonempty(dist_type, limit=limit):
             continue
         h_dist = h_of(dist_type)
         max_gap = max(max_gap, _measured_gap(dist_type, h_dist, limit=limit))
         for variant in sign_variants(t, d_r, d_c):
-            if not _feasible(variant, limit=limit):
+            if not class_nonempty(variant, limit=limit):
                 continue
             h_var = h_of(variant)
             max_gap = max(max_gap, _measured_gap(variant, h_var, limit=limit))
@@ -254,25 +220,6 @@ def _covering_scan(
     if best == -math.inf:
         raise ValueError("no feasible sign variant for any distortion budget")
     return best, max_gap, density_ok
-
-
-def covering_rate_bound(
-    t: EdgeType, xi, delta: float, dens: int, tol: float | None = None, limit: int = 6
-) -> float:
-    """Per-cell log-cardinality bound on a covering codebook meeting
-    distortion Xi + delta/n for every class member."""
-    n = t.n
-    diff, gap, _ = _covering_scan(t, xi, tol, limit)
-    xf = _as_fraction(xi)
-    lnn = math.log(n) if n > 1 else 0.0
-    slack = (
-        (2.0 * float(xf) * n + 2.0) * lnn / n**2
-        + binary_entropy(delta)
-        + math.log(n * dens) / n**2
-        + gap * lnn / n
-        + 1.0 / n
-    )
-    return diff + slack
 
 
 def rd_upper(
@@ -326,7 +273,7 @@ def rd_lower(
     best = math.inf
     for d_r, d_c in omega_iter(xi, n):
         dist_type = EdgeType(d_r, d_c, t.w)
-        if not _feasible(dist_type, limit=limit):
+        if not class_nonempty(dist_type, limit=limit):
             continue
         best = min(best, (h_base - _entropy_of(dist_type, tol)) / n**2)
     if best == math.inf:
@@ -355,8 +302,6 @@ def rd_lower(
 def _cover_pool(t: EdgeType, xi, delta: float, dens: int, limit: int) -> list[DiGraph]:
     """Union over distortion budgets of the δ-classes of all sign
     variants, deduplicated, in deterministic order."""
-    from .enumeration import enumerate_delta_class
-
     seen: set[int] = set()
     pool: list[DiGraph] = []
     for d_r, d_c in omega_iter(xi, t.n):
@@ -443,8 +388,6 @@ def verify_cover(
     """Exhaustive check that every class member is within the distortion
     threshold of the codebook (exact rational comparisons).  Returns
     (ok, worst member or None, worst min-distortion)."""
-    from .enumeration import enumerate_class
-
     thr = _as_fraction(threshold)
     worst_g = None
     worst_v = Fraction(0)
@@ -581,8 +524,6 @@ def exact_rn_prob(
 ) -> tuple[float, Codebook]:
     """Exact probabilistic rate-distortion point: the smallest codebook
     leaving uncovered probability mass at most eps under f."""
-    from .probability import graph_prob
-
     n = f.n
     if n > limit:
         raise ValueError(f"n={n} exceeds exact oracle limit {limit}")

@@ -3,20 +3,21 @@ matrix, invariant positions, components, and restriction-graph reduction.
 
 An edge-type is a pair of degree vectors (r, c) plus an optional
 restriction graph W whose non-edges are forbidden cells.  A *normalized*
-type has both r and c sorted non-increasing; the structure matrix and the
-invariant/component machinery built on it apply only to normalized types
-with W complete.  For restricted W the enumeration oracle is the only
-route (see edgetype.enumeration).
+type has both r and c sorted non-increasing; the structure matrix is
+defined on normalized types with W complete, and the invariant/component
+machinery built on it normalizes internally and answers in the caller's
+vertex labels.  For restricted W the enumeration oracle is the only route
+(see edgetype.enumeration).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import DiGraph, and_, density, respects_restriction
+from .graphs import DiGraph, density, respects_restriction
 
 __all__ = [
     "EdgeType",
@@ -113,13 +114,44 @@ class InvariantMasks:
 class ComponentPartition:
     """Row/column blocks with constant block margins across the class.
 
-    Blocks are (rows, cols, trivial) with 0-indexed vertex tuples; a
-    trivial block contains only invariant cells.
+    Blocks are (rows, cols, trivial) with sorted 0-indexed vertex tuples;
+    a trivial block contains only invariant cells.
     """
 
     row_blocks: tuple[tuple[int, ...], ...]
     col_blocks: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]
+
+    @classmethod
+    def from_cuts(
+        cls,
+        row_cuts: Sequence[int],
+        col_cuts: Sequence[int],
+        free: np.ndarray,
+        row_perm: Sequence[int] | None = None,
+        col_perm: Sequence[int] | None = None,
+    ) -> "ComponentPartition":
+        """Blocks of consecutive positions between ascending interior cuts;
+        a block is trivial when the free-cell mask, indexed by position,
+        misses it.  Positions are reported as vertex labels through the
+        permutations (identity by default).
+        """
+        n = free.shape[0]
+        rows = list(zip([0, *row_cuts], [*row_cuts, n]))
+        cols = list(zip([0, *col_cuts], [*col_cuts, n]))
+
+        def label(lo, hi, perm):
+            return tuple(range(lo, hi)) if perm is None else tuple(sorted(perm[lo:hi]))
+
+        return cls(
+            row_blocks=tuple(label(lo, hi, row_perm) for lo, hi in rows),
+            col_blocks=tuple(label(lo, hi, col_perm) for lo, hi in cols),
+            blocks=tuple(
+                (label(r0, r1, row_perm), label(c0, c1, col_perm), not free[r0:r1, c0:c1].any())
+                for r0, r1 in rows
+                for c0, c1 in cols
+            ),
+        )
 
     def nontrivial(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         return [(rows, cols) for rows, cols, trivial in self.blocks if not trivial]
@@ -168,13 +200,6 @@ def normalize(t: EdgeType) -> tuple[EdgeType, tuple[int, ...], tuple[int, ...]]:
     return EdgeType(r_sorted, c_sorted, w_sorted), row_perm, col_perm
 
 
-def _require_normalized(r: Sequence[int], c: Sequence[int]) -> None:
-    if any(r[i] < r[i + 1] for i in range(len(r) - 1)) or any(
-        c[j] < c[j + 1] for j in range(len(c) - 1)
-    ):
-        raise ValueError("structure matrix requires non-increasing (r, c)")
-
-
 def structure_matrix(r: Sequence[int], c: Sequence[int]) -> StructureMatrix:
     """Closed-form structure matrix of a normalized unrestricted type:
 
@@ -182,7 +207,10 @@ def structure_matrix(r: Sequence[int], c: Sequence[int]) -> StructureMatrix:
 
     with e, f ranging over 0..n (degree indices are 1-based here).
     """
-    _require_normalized(r, c)
+    if any(r[i] < r[i + 1] for i in range(len(r) - 1)) or any(
+        c[j] < c[j + 1] for j in range(len(c) - 1)
+    ):
+        raise ValueError("structure matrix requires non-increasing (r, c)")
     n = len(r)
     r_tail = np.concatenate([np.cumsum(np.asarray(r, dtype=np.int64)[::-1])[::-1], [0]])
     c_head = np.concatenate([[0], np.cumsum(np.asarray(c, dtype=np.int64))])
@@ -246,41 +274,30 @@ def invariant_positions(t: EdgeType) -> InvariantMasks:
 
 
 def components_from_structure(t: EdgeType) -> ComponentPartition:
-    """Component partition of a *normalized* unrestricted class.
+    """Component partition of an unrestricted class, in t's vertex labels.
 
-    The zero cells of the structure matrix form a staircase; the distinct
-    e-values (resp. f-values) of zeros cut [n] into row (resp. column)
-    blocks.  A block all of whose cells are invariant is trivial; blocks
-    spanned by a staircase gap (both coordinate jumps >= 1 between
+    The zero cells of the normalized type's structure matrix form a
+    staircase; their distinct e-values (resp. f-values) cut the sorted
+    positions into row (resp. column) blocks, which are mapped back to
+    vertex labels.  A block all of whose cells are invariant is trivial;
+    blocks spanned by a staircase gap (both coordinate jumps >= 1 between
     staircase-adjacent zeros) are the non-trivial components.
     """
     if not t.unrestricted:
         raise ValueError("components from the structure matrix require W complete")
-    _require_normalized(t.r, t.c)
     if not gale_ryser_feasible(t.r, t.c):
         raise ValueError("empty class has no components")
     n = t.n
-    sm = structure_matrix(t.r, t.c)
-    zeros = sm.zero_cells()
-    row_cuts = sorted({e for e, _ in zeros if 0 < e < n})
-    col_cuts = sorted({f for _, f in zeros if 0 < f < n})
-    row_blocks = _blocks_from_cuts(n, row_cuts)
-    col_blocks = _blocks_from_cuts(n, col_cuts)
-    masks = invariant_positions(t)
-    free = masks.free.adj
-    blocks = []
-    for rows in row_blocks:
-        for cols in col_blocks:
-            trivial = not free[np.ix_(rows, cols)].any()
-            blocks.append((rows, cols, trivial))
-    return ComponentPartition(
-        row_blocks=tuple(row_blocks), col_blocks=tuple(col_blocks), blocks=tuple(blocks)
+    tn, row_perm, col_perm = normalize(t)
+    zeros = structure_matrix(tn.r, tn.c).zero_cells()
+    inv1, inv0 = _masks_from_zeros(n, zeros)
+    return ComponentPartition.from_cuts(
+        sorted({e for e, _ in zeros if 0 < e < n}),
+        sorted({f for _, f in zeros if 0 < f < n}),
+        1 - inv1 - inv0,
+        row_perm,
+        col_perm,
     )
-
-
-def _blocks_from_cuts(n: int, cuts: list[int]) -> list[tuple[int, ...]]:
-    bounds = [0, *cuts, n]
-    return [tuple(range(bounds[k], bounds[k + 1])) for k in range(len(bounds) - 1)]
 
 
 def restriction_necessary(t: EdgeType) -> bool:

@@ -111,6 +111,18 @@ class TestInvariantsAndComponents:
         assert got["row_blocks"] == [[0, 1]] and got["col_blocks"] == [[0, 1]]
         assert got["blocks"] == [{"rows": [0, 1], "cols": [0, 1], "trivial": False}]
 
+    def test_components_unsorted_unrestricted(self, capsys, write_json):
+        spec = {"r": [2, 2, 3, 2, 2], "c": [3, 4, 0, 2, 2]}
+        code, out = run(capsys, "components", "--type", write_json(spec))
+        assert code == 0
+        got = json.loads(out)
+        assert got["row_blocks"] == [[0, 1, 2, 3, 4]]
+        assert got["col_blocks"] == [[0, 1, 3, 4], [2]]
+        assert got["blocks"] == [
+            {"rows": [0, 1, 2, 3, 4], "cols": [0, 1, 3, 4], "trivial": False},
+            {"rows": [0, 1, 2, 3, 4], "cols": [2], "trivial": True},
+        ]
+
 
 class TestEnumerate:
     def test_deterministic_member_stream(self, capsys, write_json):
@@ -323,6 +335,13 @@ class TestErrorHandling:
         g = write_json({"n": 3, "adj": [[1, 1], [1, 0]]})
         code, _ = run(capsys, "distortion", "--graph", g, "--graph2", g)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [("--format", "csv"), ("--format", "json"), ("--jobs", "2")])
+    def test_removed_flags_rejected(self, capsys, write_json, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--type", write_json(REGULAR_PAIR), *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestDeterminism:

@@ -1,9 +1,13 @@
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from edgetype.enumeration import (
     EnumerationLimitError,
+    class_invariants,
+    class_nonempty,
     components_by_enumeration,
     count_class,
     enumerate_class,
@@ -14,7 +18,7 @@ from edgetype.enumeration import (
     invariants_by_enumeration,
     partition_by_type,
 )
-from edgetype.graphs import DiGraph, degrees, respects_restriction
+from edgetype.graphs import DiGraph, respects_restriction
 from edgetype.typealg import (
     EdgeType,
     components_from_structure,
@@ -43,7 +47,7 @@ class TestEnumerateClass:
         members = list(enumerate_class(t))
         assert len(set(members)) == len(members) == 2
         for g in members:
-            assert degrees(g).r == t.r and degrees(g).c == t.c
+            assert EdgeType.of_graph(g, w) == t
             assert respects_restriction(g, w)
 
     def test_limit_enforced(self):
@@ -93,7 +97,7 @@ class TestInterchange:
         g = DiGraph([[1, 1, 0], [0, 1, 1], [1, 0, 0]])
         w = DiGraph.complete(3)
         for h in interchange_neighbors(g, w):
-            assert degrees(h) == degrees(g)
+            assert EdgeType.of_graph(h) == EdgeType.of_graph(g)
 
     def test_restriction_filters_neighbors(self):
         g = DiGraph([[1, 0], [0, 1]])
@@ -216,3 +220,53 @@ class TestOracles:
                 int(sum(int(m.adj[i, j]) for i in rows for j in cols)) for m in members
             }
             assert len(sums) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_components_of_unsorted_types_in_vertex_labels(n):
+    checked = 0
+    for (r, c), bits in sorted(partition_by_type(n).items()):
+        if not bits or (list(r) == sorted(r, reverse=True) and list(c) == sorted(c, reverse=True)):
+            continue
+        t = EdgeType(r, c)
+        comp = components_from_structure(t)
+        members = np.stack([m.adj for m in enumerate_class(t)])
+        # free cells, as invariants_by_enumeration defines them
+        free = members.min(axis=0) != members.max(axis=0)
+        for rows, cols, trivial in comp.blocks:
+            assert list(rows) == sorted(rows) and list(cols) == sorted(cols)
+            sums = members[:, rows][:, :, cols].sum(axis=(1, 2))
+            assert (sums == sums[0]).all(), (r, c, rows, cols)
+            assert trivial == (not free[np.ix_(rows, cols)].any()), (r, c, rows, cols)
+        assert sorted(i for rows in comp.row_blocks for i in rows) == list(range(n))
+        assert sorted(j for cols in comp.col_blocks for j in cols) == list(range(n))
+        checked += 1
+    assert checked > 0
+
+
+class TestClassDispatch:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nonempty_matches_brute_force_under_restriction(self, n):
+        buckets = partition_by_type(n)
+        rng = random.Random(f"nonempty:{n}")
+        cells = n * n
+        ws = [(1 << cells) - 1, 0] + [rng.getrandbits(cells) for _ in range(10)]
+        for wbits in ws:
+            w = DiGraph.from_bits(n, wbits)
+            inside = {rc for rc, bits in buckets.items() if any(b & ~wbits == 0 for b in bits)}
+            for r in product(range(n + 1), repeat=n):
+                for c in product(range(n + 1), repeat=n):
+                    got = class_nonempty(EdgeType(r, c, w))
+                    assert got == ((r, c) in inside), (r, c, wbits)
+
+    def test_invariants_dispatch(self):
+        t = EdgeType((2, 1, 0), (1, 1, 1))
+        assert class_invariants(t) == invariant_positions(t)
+        w = DiGraph([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        tw = EdgeType((1, 1, 1), (1, 1, 1), w)
+        assert class_invariants(tw) == invariants_by_enumeration(tw)
+
+    def test_restricted_nonempty_respects_limit(self):
+        w = DiGraph([[1] * 7] * 6 + [[0] * 7])
+        with pytest.raises(EnumerationLimitError):
+            class_nonempty(EdgeType((1,) * 6 + (0,), (1,) * 6 + (0,), w))

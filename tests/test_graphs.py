@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgetype.graphs import (
-    DegreePair,
     DiGraph,
     DistortionValue,
     and_,
     complement,
-    degrees,
     density,
     distortion,
     respects_restriction,
     xor,
 )
+from edgetype.typealg import EdgeType
 
 
 def all_graphs(n):
@@ -57,17 +56,17 @@ class TestDiGraph:
 class TestDegrees:
     def test_example(self):
         g = DiGraph([[1, 1], [1, 0]])
-        d = degrees(g)
-        assert d == DegreePair(r=(2, 1), c=(2, 1))
+        d = EdgeType.of_graph(g)
+        assert (d.r, d.c) == ((2, 1), (2, 1))
 
     def test_sum_balance_exhaustive_n2(self):
         for g in all_graphs(2):
-            d = degrees(g)
+            d = EdgeType.of_graph(g)
             assert sum(d.r) == sum(d.c) == g.edge_count()
 
     @given(graph_strategy(3))
     def test_sum_balance_property(self, g):
-        d = degrees(g)
+        d = EdgeType.of_graph(g)
         assert sum(d.r) == sum(d.c)
         assert all(0 <= v <= 3 for v in d.r + d.c)
 
@@ -117,7 +116,7 @@ class TestDistortion:
     def test_xor_degree_bound(self):
         for g in all_graphs(2):
             for h in all_graphs(2):
-                d = degrees(xor(g, h))
+                d = EdgeType.of_graph(xor(g, h))
                 assert max(d.r + d.c, default=0) <= 2
 
 

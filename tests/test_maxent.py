@@ -139,13 +139,17 @@ class TestEntropy:
 
 class TestBarvinokBounds:
     def test_gap_example(self):
-        alpha, gap = barvinok_bounds(EdgeType((1, 1), (1, 1)))
-        assert alpha == pytest.approx(16.0)
+        alpha, gap, count = barvinok_bounds(EdgeType((1, 1), (1, 1)))
+        assert alpha == pytest.approx(16.0) and count == 2
         assert gap == pytest.approx(math.log(8) / (2 * math.log(2)))
 
     def test_singleton(self):
-        alpha, gap = barvinok_bounds(EdgeType((2, 2), (2, 2)))
-        assert alpha == pytest.approx(1.0) and gap == pytest.approx(0.0)
+        alpha, gap, count = barvinok_bounds(EdgeType((2, 2), (2, 2)))
+        assert alpha == pytest.approx(1.0) and gap == pytest.approx(0.0) and count == 1
+
+    def test_above_limit_gives_alpha_only(self):
+        alpha, gap, count = barvinok_bounds(EdgeType((1, 1, 1), (1, 1, 1)), limit=2)
+        assert alpha > 6 and gap is None and count is None
 
     def test_upper_bound_all_types_n3(self):
         buckets = partition_by_type(3)

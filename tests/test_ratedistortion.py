@@ -10,13 +10,11 @@ from edgetype.maxent import ProductRandomGraph
 from edgetype.ratedistortion import (
     Codebook,
     build_cover_random,
-    covering_rate_bound,
     delta_class_cardinality_bounds,
     exact_rn,
     exact_rn_prob,
     high_prob_set_lower,
     lemma_codebook_size,
-    omega,
     omega_iter,
     rd_lower,
     rd_upper,
@@ -28,22 +26,20 @@ from edgetype.typealg import EdgeType
 
 class TestOmega:
     def test_zero_budget_is_singleton(self):
-        o = omega(0, 3)
-        assert o.pairs == (((0, 0, 0), (0, 0, 0)),)
+        assert list(omega_iter(0, 3)) == [((0, 0, 0), (0, 0, 0))]
 
     def test_half_at_n2(self):
-        o = omega(Fraction(1, 2), 2)
-        assert len(o.pairs) == 16  # entries in {0, 1} on both sides
+        pairs = list(omega_iter(Fraction(1, 2), 2))
+        assert len(pairs) == len(set(pairs)) == 16  # entries in {0, 1} on both sides
 
     def test_floor_of_xi_n(self):
         # Xi = 1/3 at n = 2 floors to 0: only the zero budget
-        assert len(omega(Fraction(1, 3), 2).pairs) == 1
+        assert len(list(omega_iter(Fraction(1, 3), 2))) == 1
 
-    def test_cap_enforced_and_iter_lazy(self):
-        with pytest.raises(ValueError):
-            omega(1, 4, cap=10)
-        it = omega_iter(1, 4)
+    def test_iter_lazy(self):
+        it = omega_iter(1, 4)  # 5^8 budgets, never materialized here
         assert next(it) == ((0, 0, 0, 0), (0, 0, 0, 0))
+        assert next(it) == ((0, 0, 0, 0), (0, 0, 0, 1))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -133,7 +129,7 @@ class TestCoveringBound:
     def test_dominates_exact_rate(self):
         t = EdgeType((1, 1, 1), (1, 1, 1))
         xi = Fraction(1, 3)
-        bound_bits = covering_rate_bound(t, xi, 0.0, 1) / math.log(2)
+        bound_bits = rd_upper(t, xi, 0.0, dens=1).value_bits
         rate_bits, _ = exact_rn(list(enumerate_class(t)), xi)
         assert bound_bits >= rate_bits
 
