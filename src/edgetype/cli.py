@@ -231,8 +231,7 @@ def cmd_bounds(args) -> int:
 def cmd_prob(args) -> int:
     t = parse_type(_load_json(args.type))
     params = parse_family_params(_load_json(args.params))
-    point = probability.typeclass_point_prob(params, t, tol=args.tol)
-    lower, upper, exact = probability.typeclass_prob_bounds(
+    point, lower, upper, exact = probability.typeclass_prob(
         params, t, tol=args.tol, limit=args.limit
     )
     _emit(
@@ -255,9 +254,7 @@ def cmd_sanov(args) -> int:
 def cmd_delta(args) -> int:
     t = parse_type(_load_json(args.type))
     dens = args.dens or t.density()
-    count = sum(
-        1 for _ in enumeration.enumerate_delta_class(t, args.delta, dens, limit=args.limit)
-    )
+    count = enumeration.count_delta_class(t, args.delta, dens, limit=args.limit)
     lo, hi = ratedistortion.delta_class_cardinality_bounds(
         t, args.delta, dens, tol=args.tol, limit=args.limit
     )

@@ -1,10 +1,12 @@
-"""Exact brute-force oracles over edge-type classes at small n.
+"""Exact oracles over edge-type classes at small n.
 
-Everything here is ground truth: class enumeration and counting by
-backtracking, interchange walks, δ and conditional classes, and
+Everything here is ground truth: class enumeration by backtracking,
+class counting by an exact dynamic program over column classes (no
+member is visited), interchange walks, δ and conditional classes, and
 invariants/components recomputed directly from the member list.  These
 oracles validate the closed-form machinery in edgetype.typealg and the
-analytic bounds elsewhere.
+analytic bounds elsewhere.  Both enumeration and counting refuse n above
+the limit (DEFAULT_LIMIT unless given).
 
 Graphs are handled internally as row-major integer bitmasks (bit k is
 cell (k // n, k % n)) for speed; the public API speaks DiGraph.
@@ -12,7 +14,10 @@ cell (k // n, k % n)) for speed; the public API speaks DiGraph.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from collections import Counter
+from functools import lru_cache
+from itertools import accumulate, combinations, product
+from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,6 +44,7 @@ __all__ = [
     "interchange_reach",
     "interchange_connected",
     "enumerate_delta_class",
+    "count_delta_class",
     "delta_degree_choices",
     "enumerate_conditional",
     "invariants_by_enumeration",
@@ -141,10 +147,71 @@ def enumerate_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> Iterator[DiGraph
 
 
 def count_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> int:
-    """|T(r, c, W)| by exhaustive search."""
+    """|T(r, c, W)| by an exact dynamic program over column classes.
+
+    Rows are placed one at a time.  A column class is the pair (residual
+    column degree, W bits of the column in the rows not yet placed);
+    columns of one class are interchangeable, so the state is the
+    multiset of classes.  Row i takes k_g columns from each class g that
+    W allows in row i, with sum k_g = r_i, in prod C(m_g, k_g) ways.  A
+    class whose residual degree exceeds the number of later rows allowing
+    it is pruned.  When W is complete this is the recursion of Miller and
+    Harrison (Ann. Statist. 41(3), 2013) over the multiset of residual
+    column degrees.  Exact Python ints throughout.
+    """
     _check_limit(t.n, limit)
-    w_rows = _graph_rows(t.w)
-    return sum(1 for _ in _enumerate_bits(t.r, t.c, w_rows, t.n))
+    n = t.n
+    if sum(t.r) != sum(t.c):
+        return 0
+    w = t.w.adj
+    start = Counter((t.c[j], sum(int(w[i, j]) << i for i in range(n))) for j in range(n))
+
+    def regroup(classes: Counter) -> tuple | None:
+        """Canonical state: sorted (degree, pattern, multiplicity) triples
+        without the finished columns, or None when some residual degree
+        exceeds the rows still allowing its column."""
+        state = []
+        for (d, pattern), m in sorted(classes.items()):
+            if m and d:
+                if d > pattern.bit_count():
+                    return None
+                state.append((d, pattern, m))
+        return tuple(state)
+
+    @lru_cache(maxsize=None)
+    def count(i: int, state: tuple) -> int:
+        if i == n:
+            return int(not state)
+        skipped = Counter()  # classes W forbids in row i
+        allowed = []  # (degree, pattern of the later rows, multiplicity)
+        for d, pattern, m in state:
+            if pattern & 1:
+                allowed.append((d, pattern >> 1, m))
+            else:
+                skipped[(d, pattern >> 1)] += m
+        # room[k]: columns of allowed[k:] that row i can still take
+        room = list(accumulate((g[2] for g in reversed(allowed)), initial=0))[::-1]
+        total = 0
+
+        def place(k: int, need: int, ways: int, classes: Counter) -> None:
+            nonlocal total
+            if k == len(allowed):
+                nxt = regroup(classes)
+                if nxt is not None:
+                    total += ways * count(i + 1, nxt)
+                return
+            d, later, m = allowed[k]
+            for take in range(max(0, need - room[k + 1]), min(m, need) + 1):
+                step = classes.copy()
+                step[(d - 1, later)] += take
+                step[(d, later)] += m - take
+                place(k + 1, need - take, ways * comb(m, take), step)
+
+        place(0, t.r[i], 1, skipped)
+        return total
+
+    first = regroup(start)
+    return 0 if first is None else count(0, first)
 
 
 def class_nonempty(t: EdgeType, limit: int = DEFAULT_LIMIT) -> bool:
@@ -259,21 +326,33 @@ def delta_degree_choices(value: int, n: int, delta: float, dens: int) -> list[in
     return [v for v in range(n + 1) if v == value or abs(v - value) < delta * dens]
 
 
-def enumerate_delta_class(
-    t: EdgeType, delta: float, dens: int, limit: int = DEFAULT_LIMIT
-) -> Iterator[DiGraph]:
-    """Disjoint union over all admissible (r~, c~) of their classes under W,
-    in lexicographic order of (r~, c~) then class order."""
-    _check_limit(t.n, limit)
+def _delta_types(t: EdgeType, delta: float, dens: int) -> Iterator[EdgeType]:
+    """The admissible types (r~, c~, W) of the δ-class with equal sums,
+    in lexicographic order of (r~, c~)."""
     n = t.n
     r_opts = [delta_degree_choices(t.r[i], n, delta, dens) for i in range(n)]
     c_opts = [delta_degree_choices(t.c[j], n, delta, dens) for j in range(n)]
     for r_tilde in product(*r_opts):
         sr = sum(r_tilde)
         for c_tilde in product(*c_opts):
-            if sum(c_tilde) != sr:
-                continue
-            yield from enumerate_class(EdgeType(r_tilde, c_tilde, t.w), limit=limit)
+            if sum(c_tilde) == sr:
+                yield EdgeType(r_tilde, c_tilde, t.w)
+
+
+def enumerate_delta_class(
+    t: EdgeType, delta: float, dens: int, limit: int = DEFAULT_LIMIT
+) -> Iterator[DiGraph]:
+    """Disjoint union over all admissible (r~, c~) of their classes under W,
+    in lexicographic order of (r~, c~) then class order."""
+    _check_limit(t.n, limit)
+    for tt in _delta_types(t, delta, dens):
+        yield from enumerate_class(tt, limit=limit)
+
+
+def count_delta_class(t: EdgeType, delta: float, dens: int, limit: int = DEFAULT_LIMIT) -> int:
+    """|T_δ(r, c, W)|: the class sizes summed over the admissible (r~, c~)."""
+    _check_limit(t.n, limit)
+    return sum(count_class(tt, limit=limit) for tt in _delta_types(t, delta, dens))
 
 
 def enumerate_conditional(

@@ -32,6 +32,7 @@ __all__ = [
     "kl_sum",
     "typeclass_point_prob",
     "typeclass_prob_bounds",
+    "typeclass_prob",
     "sanov_bounds",
     "delta_class_prob_lower",
     "verify_mixture",
@@ -166,6 +167,41 @@ def kl_sum(pt: ProductRandomGraph, f: ProductRandomGraph) -> float:
     return total
 
 
+def _solve_against(
+    params: FamilyDParams, t: EdgeType, tol: float | None
+) -> tuple[ProductRandomGraph, float, float]:
+    """(family graph, H(F_T), sum of cellwise KL terms) from one dual solve."""
+    f = family_d_graph(params)
+    ft, _, report = solve_maxent(t, tol=tol)
+    return f, report.entropy_nats, kl_sum(ft, f)
+
+
+def _point_prob(h: float, kl: float) -> float:
+    if math.isinf(kl):
+        raise ValueError(
+            "family graph forces a non-invariant cell; class probability is "
+            "not constant and cannot be expressed through F_T"
+        )
+    return math.exp(-h - kl)
+
+
+def _prob_bounds(
+    f: ProductRandomGraph, t: EdgeType, h: float, kl: float, limit: int
+) -> tuple[float | None, float, float | None]:
+    if math.isinf(kl):
+        raise ValueError("continuity failure: upper bound formula undefined")
+    upper = math.exp(-kl)
+    if t.n > limit:
+        return None, upper, None
+    count = 0
+    exact = 0.0
+    for g in enumerate_class(t, limit=limit):
+        exact += graph_prob(f, g)
+        count += 1
+    lower = math.exp(-kl + math.log(count) - h) if count else 0.0
+    return lower, upper, exact
+
+
 def typeclass_point_prob(
     params: FamilyDParams, t: EdgeType, tol: float | None = None
 ) -> float:
@@ -177,15 +213,8 @@ def typeclass_point_prob(
     anywhere else they make the class probability non-constant and an
     error is raised.
     """
-    f = family_d_graph(params)
-    ft, _, report = solve_maxent(t, tol=tol)
-    kl = kl_sum(ft, f)
-    if math.isinf(kl):
-        raise ValueError(
-            "family graph forces a non-invariant cell; class probability is "
-            "not constant and cannot be expressed through F_T"
-        )
-    return math.exp(-report.entropy_nats - kl)
+    _, h, kl = _solve_against(params, t, tol)
+    return _point_prob(h, kl)
 
 
 def typeclass_prob_bounds(
@@ -198,21 +227,17 @@ def typeclass_prob_bounds(
     measured stand-in for the quasi-polynomial factor; above the limit
     lower is None (the universal constant is unknown).
     """
-    f = family_d_graph(params)
-    ft, _, report = solve_maxent(t, tol=tol)
-    kl = kl_sum(ft, f)
-    if math.isinf(kl):
-        raise ValueError("continuity failure: upper bound formula undefined")
-    upper = math.exp(-kl)
-    if t.n > limit:
-        return None, upper, None
-    count = 0
-    exact = 0.0
-    for g in enumerate_class(t, limit=limit):
-        exact += graph_prob(f, g)
-        count += 1
-    lower = math.exp(-kl + math.log(count) - report.entropy_nats) if count else 0.0
-    return lower, upper, exact
+    f, h, kl = _solve_against(params, t, tol)
+    return _prob_bounds(f, t, h, kl, limit)
+
+
+def typeclass_prob(
+    params: FamilyDParams, t: EdgeType, tol: float | None = None, limit: int = 6
+) -> tuple[float, float | None, float, float | None]:
+    """(point, lower, upper, exact): typeclass_point_prob followed by
+    typeclass_prob_bounds, sharing one dual solve."""
+    f, h, kl = _solve_against(params, t, tol)
+    return (_point_prob(h, kl), *_prob_bounds(f, t, h, kl, limit))
 
 
 def sanov_bounds(

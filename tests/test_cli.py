@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from edgetype import probability
 from edgetype.cli import main
 
 
@@ -183,6 +184,28 @@ class TestProbability:
         assert got["exact"] == pytest.approx(2 / 16)
         assert got["lower"] <= got["exact"] * (1 + 1e-12)
         assert got["exact"] <= got["upper"] * (1 + 1e-12)
+
+    def test_prob_solves_dual_once(self, capsys, write_json, monkeypatch):
+        calls = []
+        solve = probability.solve_maxent
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(probability, "solve_maxent", counted)
+        params = write_json({"a": [0.3, -0.2, 0.1], "b": [0.0, 0.5, -0.4]})
+        t = write_json({"r": [2, 1, 0], "c": [1, 1, 1]})
+        code, _ = run(capsys, "prob", "--type", t, "--params", params)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_prob_continuity_failure_names_point_probability(self, capsys, write_json):
+        params = write_json({"a": ["inf", "inf"], "b": [0, 0]})
+        code = main(["prob", "--type", write_json(REGULAR_PAIR), "--params", params])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "forces a non-invariant cell" in captured.err
 
     def test_sanov(self, capsys, write_json):
         params = {"a": [0, 0], "b": [0, 0]}

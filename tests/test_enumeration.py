@@ -10,6 +10,7 @@ from edgetype.enumeration import (
     class_nonempty,
     components_by_enumeration,
     count_class,
+    count_delta_class,
     enumerate_class,
     enumerate_conditional,
     enumerate_delta_class,
@@ -81,6 +82,64 @@ class TestCountClass:
         r2 = tuple(t.r[p] for p in perm)
         c2 = tuple(t.c[p] for p in perm)
         assert count_class(t) == count_class(EdgeType(r2, c2))
+
+
+class TestCountDynamicProgram:
+    """count_class against oracles that visit every member."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_partition_every_pair(self, n):
+        buckets = partition_by_type(n)
+        for r in product(range(n + 1), repeat=n):
+            for c in product(range(n + 1), repeat=n):
+                assert count_class(EdgeType(r, c)) == len(buckets.get((r, c), [])), (r, c)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_enumeration_under_restriction(self, n):
+        rng = random.Random(f"count:{n}")
+        for _ in range(12):
+            w = DiGraph.from_bits(n, rng.getrandbits(n * n))
+            for r in product(range(n + 1), repeat=n):
+                for c in product(range(n + 1), repeat=n):
+                    t = EdgeType(r, c, w)
+                    assert count_class(t) == sum(1 for _ in enumerate_class(t)), (r, c, w)
+
+    def test_matches_enumeration_random_restricted_n5(self):
+        rng = random.Random("count:5")
+        n = 5
+        for _ in range(200):
+            wbits = rng.getrandbits(n * n) | rng.getrandbits(n * n)
+            w = DiGraph.from_bits(n, wbits)
+            t = EdgeType.of_graph(DiGraph.from_bits(n, wbits & rng.getrandbits(n * n)), w)
+            assert count_class(t) == sum(1 for _ in enumerate_class(t)), (t.r, t.c, wbits)
+
+    @pytest.mark.parametrize(
+        "k, n, size",
+        [
+            # OEIS A001499 (2-regular) and A001501 (3-regular)
+            (2, 6, 67_950), (2, 7, 3_110_940), (2, 8, 187_530_840),
+            (3, 6, 297_200), (3, 7, 68_938_800), (3, 8, 24_046_189_440),
+        ],
+    )
+    def test_regular_classes_beyond_default_limit(self, k, n, size):
+        assert count_class(EdgeType((k,) * n, (k,) * n), limit=n) == size
+
+    def test_default_limit_enforced(self):
+        with pytest.raises(EnumerationLimitError):
+            count_class(EdgeType((2,) * 7, (2,) * 7))
+
+    def test_delta_count_matches_enumeration(self):
+        types = [
+            EdgeType((1, 1, 1), (1, 1, 1)),
+            EdgeType((2, 1, 0), (1, 1, 1)),
+            EdgeType((2, 2, 2), (2, 2, 2)),
+            EdgeType((3, 0, 0), (1, 1, 1)),
+        ]
+        for t in types:
+            dens = t.density()
+            for delta in (0.1, 0.25, 0.4, 0.5, 1.1, 2.0):
+                expected = len(set(enumerate_delta_class(t, delta, dens)))
+                assert count_delta_class(t, delta, dens) == expected, (t.r, t.c, delta)
 
 
 class TestInterchange:

@@ -25,6 +25,7 @@ from edgetype.probability import (
     mixture_lower_bound,
     sanov_bounds,
     typeclass_point_prob,
+    typeclass_prob,
     typeclass_prob_bounds,
     verify_mixture,
 )
@@ -159,6 +160,17 @@ class TestProbBounds:
             assert lower is not None and exact is not None
             assert lower <= exact * (1 + 1e-9)
             assert exact <= upper * (1 + 1e-9)
+
+    def test_shared_solve_matches_separate_calls(self):
+        rng = random.Random(41)
+        buckets = partition_by_type(3)
+        feasible = [(r, c) for (r, c), bits in sorted(buckets.items()) if bits]
+        for _ in range(20):
+            params = random_params(rng, 3)
+            t = EdgeType(*feasible[rng.randrange(len(feasible))])
+            separate = (typeclass_point_prob(params, t), *typeclass_prob_bounds(params, t))
+            assert typeclass_prob(params, t) == separate
+            assert typeclass_prob(params, t, limit=2) == (separate[0], None, separate[2], None)
 
     def test_uniform_family_exact(self):
         params = FamilyDParams((0.0, 0.0), (0.0, 0.0), DiGraph.complete(2))
