@@ -204,7 +204,7 @@ def cmd_maxent(args) -> int:
     f, v, report = maxent.solve_maxent(t, tol=args.tol)
     _emit(
         {
-            "p": [[float(x) for x in row] for row in f.p],
+            "p": f.p.tolist(),
             "s": list(v.s),
             "t": list(v.t),
             "alpha": report.alpha,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +38,11 @@ __all__ = [
 ]
 
 MAX_ITER = 500
+# Relative float resolution of the dual objective: a predicted decrease
+# below F_RESOLUTION times the sum of its terms' magnitudes is rounding noise.
+F_RESOLUTION = 64 * np.finfo(float).eps
+# Largest H(F_T) whose e^H is a finite float; alpha is inf beyond it.
+LN_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,9 @@ class DualVars:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Solver outcome.  alpha = e^H, or inf once H exceeds ln(float max);
+    entropy_nats = H = ln alpha stays finite."""
+
     converged: bool
     iterations: int
     grad_norm: float
@@ -99,9 +108,12 @@ def binary_entropy(p: float) -> float:
 def entropy(f: ProductRandomGraph) -> float:
     """H(F) = sum of cellwise binary entropies, in nats."""
     p = f.p
-    mask = (p > 0) & (p < 1)
-    q = p[mask]
-    return float(-(q * np.log(q) + (1 - q) * np.log(1 - q)).sum())
+    return float(_binary_entropies(p[(p > 0) & (p < 1)]).sum())
+
+
+def _binary_entropies(q: np.ndarray) -> np.ndarray:
+    """Elementwise H_b(q) in nats, for q strictly inside (0, 1)."""
+    return -(q * np.log(q) + (1 - q) * np.log(1 - q))
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -136,70 +148,116 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _orbits(deg: Sequence[int], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group label of every vertex and one representative per group; two
+    vertices share a group when their degrees and their rows in `rows`
+    agree.  Labels follow first appearance.
+    """
+    index: dict[tuple[int, bytes], int] = {}
+    label = np.fromiter(
+        (index.setdefault((d, row.tobytes()), len(index)) for d, row in zip(deg, rows)),
+        dtype=np.intp,
+        count=len(deg),
+    )
+    rep = np.empty(len(index), dtype=np.intp)
+    rep[label] = np.arange(len(deg))  # members of a group are interchangeable
+    return label, rep
+
+
 def _newton_solve(
-    r: np.ndarray, c: np.ndarray, w: np.ndarray, tol: float, x0: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, int, float, bool]:
-    """Damped ridge-regularized Newton on the dual.
+    r: np.ndarray,
+    c: np.ndarray,
+    mr: np.ndarray,
+    mc: np.ndarray,
+    cells: np.ndarray,
+    tol: float,
+    x0: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, float, float, bool]:
+    """Damped ridge-regularized Newton on the multiplicity-weighted dual
+
+        F(a, b) = sum_gh cells_gh ln(1 + e^{a_g + b_h})
+                  - sum_g mr_g r_g a_g - sum_h mc_h c_h b_h
+
+    over row groups g of size mr_g and column groups h of size mc_h, where
+    cells_gh counts the allowed vertex cells of group cell (g, h).  F is
+    the 2n-variable dual restricted to duals constant on each group, and
+    its Newton iterates are the 2n-variable ones from such a point.
 
     The dual has gauge freedom (one shift per connected block of the free
-    cells); a small ridge keeps the Newton system solvable without pinning
-    variables, and a backtracking line search guarantees descent.
+    cells); a small ridge, scaled by the group sizes, keeps the Newton
+    system solvable without pinning variables.  The line search asks for
+    an Armijo decrease of F; once the predicted decrease is below what F
+    can resolve in floating point, it accepts a step that lowers the
+    residual instead.  The residual is the largest per-vertex margin
+    error, and the solve converges when it falls to tol.
+
+    Returns (x = (a, b), iterations, residual, F(x), converged).
     """
-    n = len(r)
-    x = np.zeros(2 * n) if x0 is None else x0.astype(float).copy()
+    kr, k = len(mr), len(mr) + len(mc)
+    mult = np.concatenate([mr, mc]).astype(float)
+    target = mult * np.concatenate([r, c])
+    x = np.zeros(k) if x0 is None else x0
 
-    def split(x):
-        return x[:n], x[n:]
+    def evaluate(x):
+        """F(x), the sum of its terms' magnitudes (which sets F's float
+        resolution), and the group-cell probabilities sigma(a_g + b_h)."""
+        z = x[:kr, None] + x[None, kr:]
+        soft = _softplus(z)
+        fsoft = (soft * cells).sum()
+        lin = target @ x
+        return fsoft - lin, fsoft + abs(lin), np.exp(z - soft)
 
-    def fval(x):
-        s, t = split(x)
-        z = s[:, None] + t[None, :]
-        return -r @ s - c @ t + (_softplus(z) * w).sum()
+    def gradient(p):
+        pc = p * cells
+        return np.concatenate([pc.sum(axis=1), pc.sum(axis=0)]) - target
 
-    def grad(x):
-        s, t = split(x)
-        p = _sigmoid(s[:, None] + t[None, :]) * w
-        return np.concatenate([p.sum(axis=1) - r, p.sum(axis=0) - c])
+    def residual(g):
+        return float(np.abs(g / mult).max(initial=0.0))
 
-    f = fval(x)
-    g = grad(x)
+    f, fscale, p = evaluate(x)
+    g = gradient(p)
+    gnorm = residual(g)
     it = 0
     for it in range(1, MAX_ITER + 1):
-        gnorm = float(np.abs(g).max(initial=0.0))
         if gnorm <= tol:
-            return *split(x), it - 1, gnorm, True
-        s, t = split(x)
-        p = _sigmoid(s[:, None] + t[None, :]) * w
-        q = p * (1.0 - p)
-        h = np.zeros((2 * n, 2 * n))
-        h[:n, :n] = np.diag(q.sum(axis=1))
-        h[n:, n:] = np.diag(q.sum(axis=0))
-        h[:n, n:] = q
-        h[n:, :n] = q.T
-        ridge = 1e-12 * max(1.0, float(np.trace(h)))
+            return x, it - 1, gnorm, f, True
+        q = p * (1.0 - p) * cells
+        diag = np.concatenate([q.sum(axis=1), q.sum(axis=0)])
+        h = np.zeros((k, k))
+        h[:kr, kr:] = q
+        h[kr:, :kr] = q.T
+        ridge = 1e-12 * max(1.0, float(diag.sum()))
         step = None
         for _ in range(6):
+            h.flat[:: k + 1] = diag + ridge * mult
             try:
-                step = np.linalg.solve(h + ridge * np.eye(2 * n), -g)
+                step = np.linalg.solve(h, -g)
                 break
             except np.linalg.LinAlgError:
                 ridge *= 1e3
         if step is None or not np.isfinite(step).all() or g @ step >= 0:
             step = -g  # gradient fallback keeps descent guaranteed
+        slope = float(g @ step)
         alpha = 1.0
         for _ in range(60):
             xn = x + alpha * step
-            fn = fval(xn)
-            if fn <= f + 1e-4 * alpha * (g @ step):
-                x, f = xn, fn
+            fn, fn_scale, pn = evaluate(xn)
+            if fn <= f + 1e-4 * alpha * slope:
+                x, f, fscale, p = xn, fn, fn_scale, pn
+                g = gradient(p)
                 break
+            if -alpha * slope <= F_RESOLUTION * fscale:
+                gn = gradient(pn)
+                if residual(gn) < gnorm:
+                    x, f, fscale, p, g = xn, fn, fn_scale, pn, gn
+                    break
             alpha *= 0.5
         else:
             x = x + 1e-12 * step
-            f = fval(x)
-        g = grad(x)
-    gnorm = float(np.abs(g).max(initial=0.0))
-    return *split(x), it, gnorm, gnorm <= tol
+            f, fscale, p = evaluate(x)
+            g = gradient(p)
+        gnorm = residual(g)
+    return x, it, gnorm, f, gnorm <= tol
 
 
 def solve_maxent(
@@ -209,39 +267,50 @@ def solve_maxent(
 
     Invariant cells are stripped before solving so every dual variable
     stays finite, then re-inserted (p = 1 on always-present edges, p = 0
-    on always-absent ones).
+    on always-absent ones).  Rows with equal (r_i, allowed cells of row i)
+    can be swapped without changing the reduced dual, and likewise
+    columns, so a minimizer constant on each such group exists
+    (Chatterjee, Diaconis & Sly 2011); the dual is solved with one
+    variable per group, and a given init is averaged over each group.
     """
     n = t.n
     if tol is None:
         tol = 1e-10 * max(n, 1)
     masks = class_invariants(t)
     reduced = reduce_by_invariants(t, masks)
-    w = reduced.w.adj.astype(float)
-    r = np.asarray(reduced.r, dtype=float)
-    c = np.asarray(reduced.c, dtype=float)
+    w = reduced.w.adj
+    row_of, row_rep = _orbits(reduced.r, w)
+    col_of, col_rep = _orbits(reduced.c, w.T)
+    mr, mc = np.bincount(row_of), np.bincount(col_of)
+    cells = (w[row_rep][:, col_rep] * np.outer(mr, mc)).astype(float)
+    r = np.asarray(reduced.r, dtype=float)[row_rep]
+    c = np.asarray(reduced.c, dtype=float)[col_rep]
     x0 = None
     if init is not None:
-        x0 = np.concatenate([np.asarray(init.s, float), np.asarray(init.t, float)])
-    s, tv, iters, gnorm, converged = _newton_solve(r, c, w, tol, x0=x0)
+        x0 = np.concatenate(
+            [np.bincount(row_of, weights=init.s) / mr, np.bincount(col_of, weights=init.t) / mc]
+        )
+    x, iters, gnorm, obj, converged = _newton_solve(r, c, mr, mc, cells, tol, x0=x0)
     if not converged:
         raise ArithmeticError(
             f"maxent dual failed to converge: gradient norm {gnorm:.3e} > tol {tol:.3e}"
         )
-    p = _sigmoid(s[:, None] + tv[None, :]) * reduced.w.adj
-    p = p + masks.inv1.adj.astype(float)
+    a, b = x[: len(mr)], x[len(mr) :]
+    sig = _sigmoid(a[:, None] + b[None, :])
+    p = sig[row_of][:, col_of] * w + masks.inv1.adj
     p[t.w.adj == 0] = 0.0
-    f = ProductRandomGraph(p=np.clip(p, 0.0, 1.0), w=t.w)
-    h = entropy(f)
-    obj = dual_objective(reduced, DualVars(tuple(s), tuple(tv)))
+    f = ProductRandomGraph(p=p, w=t.w)
+    inside = (cells > 0) & (sig > 0) & (sig < 1)
+    h = float((cells[inside] * _binary_entropies(sig[inside])).sum())
     report = SolveReport(
         converged=True,
         iterations=iters,
         grad_norm=gnorm,
         objective=obj,
         entropy_nats=h,
-        alpha=math.exp(h),
+        alpha=math.inf if h > LN_FLOAT_MAX else math.exp(h),
     )
-    return f, DualVars(tuple(s), tuple(tv)), report
+    return f, DualVars(tuple(a[row_of].tolist()), tuple(b[col_of].tolist())), report
 
 
 def counting_gap(entropy_nats: float, count: int, n: int) -> float:

@@ -171,7 +171,9 @@ def gale_ryser_feasible(r: Sequence[int], c: Sequence[int]) -> bool:
             raise ValueError(f"degree {v} outside [0, {n}]")
     if sum(r) != sum(c):
         return False
-    cbar = [sum(1 for ri in r if ri >= j) for j in range(1, n + 1)]
+    # cbar[j-1] = #{i : r_i >= j}, the column sums of the maximal matrix
+    counts = np.bincount(np.asarray(r, dtype=np.intp), minlength=n + 1)
+    cbar = counts[::-1].cumsum()[::-1][1:].tolist()
     cdesc = sorted(c, reverse=True)
     partial_c = 0
     partial_cbar = 0

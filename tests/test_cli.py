@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 
@@ -160,6 +162,23 @@ class TestMaxentAndBounds:
         assert got["count"] == 2
         assert got["alpha"] >= got["count"]
         assert got["measured_gap"] >= 0
+
+    @pytest.mark.parametrize("cmd", ["maxent", "bounds"])
+    def test_alpha_beyond_float_range_is_infinity(self, capsys, write_json, cmd):
+        # H(F_T) of this dense n = 60 type is far above ln(float max) = 709.78
+        rng = random.Random(60)
+        g = [[int(rng.random() < 0.5) for _ in range(60)] for _ in range(60)]
+        spec = {"r": [sum(row) for row in g], "c": [sum(col) for col in zip(*g)]}
+        code, out = run(capsys, cmd, "--type", write_json(spec))
+        assert code == 0
+        assert '"alpha": Infinity' in out
+        got = json.loads(out)
+        assert got["alpha"] == math.inf
+        if cmd == "maxent":
+            assert 709.78 < got["entropy_nats"] < math.inf
+            assert len(got["p"]) == 60 and got["margins_residual"] <= 60e-10
+        else:
+            assert got["measured_gap"] is None
 
     def test_nonconvergence_unreachable_on_feasible_small(self, capsys, write_json):
         # empty classes are reported as empty (exit 1), not as solver failures

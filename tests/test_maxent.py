@@ -1,10 +1,16 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from edgetype.enumeration import count_class, enumerate_class, partition_by_type
+from edgetype.enumeration import (
+    class_invariants,
+    count_class,
+    enumerate_class,
+    partition_by_type,
+)
 from edgetype.graphs import DiGraph
 from edgetype.maxent import (
     DualVars,
@@ -17,7 +23,93 @@ from edgetype.maxent import (
     polytope_membership,
     solve_maxent,
 )
-from edgetype.typealg import EdgeType
+from edgetype.typealg import EdgeType, gale_ryser_feasible, reduce_by_invariants
+
+# Types on which a line search that compares objective values only stalls
+# at the default tolerance: every step's decrease is below one ulp of the
+# objective.  The regular ones are (n, d) with r = c = (d,) * n.
+STALL_TYPES = [
+    *(((d,) * n, (d,) * n) for n, d in ((30, 20), (60, 20), (60, 40), (160, 106))),
+    ((3, 2, 2, 2), (1, 3, 3, 2)),
+    ((3, 3, 2, 2), (3, 3, 2, 2)),
+]
+
+
+def _sigmoid(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def dense_newton(r, c, w, tol):
+    """Reference solver: damped ridge-regularized Newton on the full
+    2n-variable dual with the dense 2n x 2n Hessian, no symmetry used.
+    Its line search takes the library's rule: Armijo on the objective, and
+    a lower residual once the predicted decrease is below the objective's
+    float resolution.  Returns (s, t)."""
+    n = len(r)
+    x = np.zeros(2 * n)
+
+    def fval(x):
+        soft = (np.logaddexp(0.0, x[:n, None] + x[None, n:]) * w).sum()
+        lin = r @ x[:n] + c @ x[n:]
+        return soft - lin, soft + abs(lin)
+
+    def grad(x):
+        p = _sigmoid(x[:n, None] + x[None, n:]) * w
+        return np.concatenate([p.sum(axis=1) - r, p.sum(axis=0) - c])
+
+    def residual(g):
+        return np.abs(g).max(initial=0.0)
+
+    (f, scale), g = fval(x), grad(x)
+    for _ in range(500):
+        if residual(g) <= tol:
+            return x[:n], x[n:]
+        p = _sigmoid(x[:n, None] + x[None, n:]) * w
+        q = p * (1.0 - p)
+        h = np.zeros((2 * n, 2 * n))
+        h[:n, :n] = np.diag(q.sum(axis=1))
+        h[n:, n:] = np.diag(q.sum(axis=0))
+        h[:n, n:] = q
+        h[n:, :n] = q.T
+        ridge = 1e-12 * max(1.0, float(np.trace(h)))
+        step = np.linalg.solve(h + ridge * np.eye(2 * n), -g)
+        if g @ step >= 0:
+            step = -g
+        alpha = 1.0
+        for _ in range(60):
+            xn = x + alpha * step
+            fn, sn = fval(xn)
+            if fn <= f + 1e-4 * alpha * (g @ step):
+                x, f, scale, g = xn, fn, sn, grad(xn)
+                break
+            if -alpha * (g @ step) <= 64 * np.finfo(float).eps * scale:
+                gn = grad(xn)
+                if residual(gn) < residual(g):
+                    x, f, scale, g = xn, fn, sn, gn
+                    break
+            alpha *= 0.5
+        else:
+            raise AssertionError("reference line search failed")
+    raise AssertionError("reference solver did not converge")
+
+
+def assert_matches_dense(t):
+    """solve_maxent at the default tolerance against the dense reference."""
+    tol = 1e-10 * max(t.n, 1)
+    f, v, report = solve_maxent(t)
+    masks = class_invariants(t)
+    reduced = reduce_by_invariants(t, masks)
+    w = reduced.w.adj.astype(float)
+    s, tt = dense_newton(np.asarray(reduced.r, float), np.asarray(reduced.c, float), w, tol)
+    p_ref = _sigmoid(s[:, None] + tt[None, :]) * w + masks.inv1.adj
+    assert np.abs(f.p - p_ref).max() <= 1e-9, (t.r, t.c)
+    h_ref = entropy(ProductRandomGraph(p=p_ref, w=t.w))
+    assert abs(report.entropy_nats - h_ref) <= 1e-9, (t.r, t.c)
+    # s and t may differ from the reference by a gauge shift, but they
+    # must reproduce p on the free cells
+    sv, tv = np.asarray(v.s), np.asarray(v.t)
+    sig = _sigmoid(sv[:, None] + tv[None, :])
+    assert np.abs(f.p - sig)[w == 1].max(initial=0.0) <= 1e-12, (t.r, t.c)
 
 
 class TestDualObjective:
@@ -121,6 +213,62 @@ class TestSolveMaxent:
             )
             hs.append(solve_maxent(t, init=init)[2].entropy_nats)
         assert max(hs) - min(hs) < 1e-8
+
+
+class TestOrbitReducedSolver:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_all_unrestricted(self, n):
+        degrees = list(itertools.product(range(n + 1), repeat=n))
+        for r in degrees:
+            for c in degrees:
+                if sum(r) == sum(c) and gale_ryser_feasible(r, c):
+                    assert_matches_dense(EdgeType(r, c))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_restricted(self, n):
+        """12 seeded W per n; every feasible type of each W at n <= 3, and 60
+        of them, drawn with the same seed, at n = 4 (about 1 500 per W)."""
+        rng = random.Random(f"maxent-w:{n}")
+        m = n * n
+        subsets = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+        for _ in range(12):
+            w = np.array([rng.random() < 0.75 for _ in range(m)], dtype=np.uint8)
+            graphs = (subsets[(subsets & (1 - w)).sum(axis=1) == 0]).reshape(-1, n, n)
+            pairs = {
+                (tuple(r), tuple(c))
+                for r, c in zip(graphs.sum(axis=2).tolist(), graphs.sum(axis=1).tolist())
+            }
+            wg = DiGraph(w.reshape(n, n))
+            pairs = sorted(pairs)
+            for r, c in rng.sample(pairs, min(len(pairs), 60)) if n == 4 else pairs:
+                assert_matches_dense(EdgeType(r, c, wg))
+
+    @pytest.mark.parametrize(
+        "r,c", STALL_TYPES, ids=[f"n{len(r)}-r{r[0]}-c{c[0]}" for r, c in STALL_TYPES]
+    )
+    def test_stall_types_converge_at_default_tol(self, r, c):
+        t = EdgeType(r, c)
+        tol = 1e-10 * t.n
+        f, _, report = solve_maxent(t)
+        assert report.converged and report.grad_norm <= tol
+        assert polytope_membership(f, t, tol=tol)
+        assert_matches_dense(t)
+
+    def test_alpha_infinite_beyond_float_range(self):
+        rng = random.Random(60)
+        g = DiGraph([[int(rng.random() < 0.5) for _ in range(60)] for _ in range(60)])
+        _, _, report = solve_maxent(EdgeType.of_graph(g))
+        assert report.entropy_nats > math.log(np.finfo(float).max)
+        assert report.alpha == math.inf and math.isfinite(report.entropy_nats)
+
+    def test_init_averaged_over_groups(self):
+        t = EdgeType((2, 2, 1), (1, 2, 2))
+        _, v, report = solve_maxent(t)
+        # a gauge shift of the optimum, spread unevenly within the row group
+        init = DualVars((v.s[0] + 1.5, v.s[1] + 0.5, v.s[2] + 1.0), tuple(x - 1.0 for x in v.t))
+        _, _, again = solve_maxent(t, init=init)
+        assert again.iterations == 0
+        assert again.entropy_nats == pytest.approx(report.entropy_nats, abs=1e-12)
 
 
 class TestEntropy:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,34 @@ class TestGaleRyser:
         for r, c in all_degree_pairs(3):
             expected = count_class(EdgeType(r, c)) > 0
             assert gale_ryser_feasible(r, c) == expected, (r, c)
+
+
+    def test_matches_quadratic_conjugate_seeded(self):
+        def reference(r, c):
+            """Gale-Ryser with the conjugate written out term by term."""
+            n = len(r)
+            if sum(r) != sum(c):
+                return False
+            cbar = [sum(1 for ri in r if ri >= j) for j in range(1, n + 1)]
+            cdesc = sorted(c, reverse=True)
+            return all(sum(cdesc[: k + 1]) <= sum(cbar[: k + 1]) for k in range(n))
+
+        rng = random.Random(20)
+        outcomes = set()
+        for n in range(1, 51):
+            for _ in range(12):
+                r = [rng.choice((0, n, rng.randint(0, n))) for _ in range(n)]
+                # c: the same total spread at random over columns of capacity n
+                c = [0] * n
+                for _ in range(sum(r)):
+                    c[rng.choice([j for j in range(n) if c[j] < n])] += 1
+                if rng.random() < 0.25:
+                    j = rng.randrange(n)
+                    c[j] += 1 if c[j] < n else -1  # unequal sums
+                expected = reference(r, c)
+                assert gale_ryser_feasible(r, c) == expected, (r, c)
+                outcomes.add((expected, sum(r) == sum(c)))
+        assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 class TestNormalize:
