@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 infeasible/empty result, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -326,8 +327,7 @@ def cmd_cover(args) -> int:
 def cmd_rd_bounds(args) -> int:
     t = parse_type(_load_json(args.type))
     dens = args.dens or t.density()
-    up = ratedistortion.rd_upper(t, args.xi, args.delta, dens=dens, tol=args.tol, limit=args.limit)
-    lo = ratedistortion.rd_lower(
+    up, lo = ratedistortion.rd_bounds(
         t, args.xi, args.delta, args.delta_hat, dens=dens, tol=args.tol, limit=args.limit
     )
     def report_json(r):
@@ -402,6 +402,7 @@ def cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built on the first call; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="edgetype",

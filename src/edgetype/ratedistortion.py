@@ -13,12 +13,15 @@ where the definitions call for them.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .enumeration import class_nonempty, count_class, enumerate_class, enumerate_delta_class
 from .graphs import DiGraph, DistortionValue, distortion
@@ -37,11 +40,14 @@ __all__ = [
     "verify_cover",
     "rd_upper",
     "rd_lower",
+    "rd_bounds",
     "exact_rn",
     "exact_rn_prob",
 ]
 
 POOL_DRAW_CAP = 10_000_000
+BLOCK_CELLS = 1 << 19  # candidate x source cells per coverage chunk
+TABLE_MAX_N = 4  # the exact oracles tabulate all 2^(n^2) graphs
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,6 @@ class RDReport:
     raw_nats: float  # unclamped formula value
     slack_terms: dict
     assumption_flags: dict
-    exact_rate_bits: float | None = None
 
 
 def _as_fraction(x) -> Fraction:
@@ -124,8 +129,6 @@ def _entropy_of(t: EdgeType, tol: float | None) -> float:
 def _measured_gap(t: EdgeType, h: float, limit: int = 6) -> float:
     """(H - ln count) / (n ln n), floored at 0: the enumerable stand-in
     for the universal counting constant."""
-    if t.n > limit:
-        return 0.0
     count = count_class(t, limit=limit)
     if count == 0:
         raise ValueError("empty class has no measured gap")
@@ -181,60 +184,53 @@ def high_prob_set_lower(
     return bound, vacuous
 
 
-def _covering_scan(
-    t: EdgeType, xi, tol: float | None, limit: int
-) -> tuple[float, float, bool]:
+class _TypeTable:
+    """Emptiness, entropy and measured counting gap of the types met by
+    one scan of Omega, each computed at most once.  Lives for one call,
+    so repeated commands repeat the work."""
+
+    def __init__(self, tol: float | None, limit: int):
+        self.nonempty = functools.cache(lambda tt: class_nonempty(tt, limit=limit))
+        self.entropy = entropy = functools.cache(lambda tt: _entropy_of(tt, tol))
+        self.gap = functools.cache(lambda tt: _measured_gap(tt, entropy(tt), limit))
+
+
+def _covering_scan(t: EdgeType, xi, types: _TypeTable) -> tuple[float, float, bool, float]:
     """Max over distortion budgets and sign variants of the entropy
     difference H(variant) - H(distortion type), per n^2 cells.
 
-    Returns (max_diff_per_cell, max_measured_gap, density_preserved).
-    Infeasible variants and infeasible distortion types are skipped.
+    Returns (max_diff_per_cell, max_measured_gap, density_preserved,
+    max_distortion_entropy).  Infeasible variants and infeasible
+    distortion types are skipped.
     """
     n = t.n
     dens = t.density()
     best = -math.inf
     max_gap = 0.0
     density_ok = True
-    entropy_cache: dict[tuple, float] = {}
-
-    def h_of(tt: EdgeType) -> float:
-        key = (tt.r, tt.c)
-        if key not in entropy_cache:
-            entropy_cache[key] = _entropy_of(tt, tol)
-        return entropy_cache[key]
-
+    h_dist_max = -math.inf
     for d_r, d_c in omega_iter(xi, n):
         dist_type = EdgeType(d_r, d_c, t.w)
-        if not class_nonempty(dist_type, limit=limit):
+        if not types.nonempty(dist_type):
             continue
-        h_dist = h_of(dist_type)
-        max_gap = max(max_gap, _measured_gap(dist_type, h_dist, limit=limit))
+        h_dist = types.entropy(dist_type)
+        h_dist_max = max(h_dist_max, h_dist)
+        max_gap = max(max_gap, types.gap(dist_type))
         for variant in sign_variants(t, d_r, d_c):
-            if not class_nonempty(variant, limit=limit):
+            if not types.nonempty(variant):
                 continue
-            h_var = h_of(variant)
-            max_gap = max(max_gap, _measured_gap(variant, h_var, limit=limit))
+            max_gap = max(max_gap, types.gap(variant))
             if variant.density() != dens:
                 density_ok = False
-            best = max(best, (h_var - h_dist) / n**2)
+            best = max(best, (types.entropy(variant) - h_dist) / n**2)
     if best == -math.inf:
         raise ValueError("no feasible sign variant for any distortion budget")
-    return best, max_gap, density_ok
+    return best, max_gap, density_ok, h_dist_max
 
 
-def rd_upper(
-    t: EdgeType,
-    xi,
-    delta: float,
-    dens: int | None = None,
-    tol: float | None = None,
-    limit: int = 6,
-) -> RDReport:
-    """Achievability bound on R_n(Xi + delta/n) for the class of t."""
+def _upper_report(t: EdgeType, xi, delta: float, dens: int, scan) -> RDReport:
     n = t.n
-    if dens is None:
-        dens = t.density()
-    diff, gap, density_ok = _covering_scan(t, xi, tol, limit)
+    diff, gap, density_ok, _ = scan
     xf = _as_fraction(xi)
     lnn = math.log(n) if n > 1 else 0.0
     slack = {
@@ -255,29 +251,14 @@ def rd_upper(
     )
 
 
-def rd_lower(
-    t: EdgeType,
-    xi,
-    delta: float,
-    delta_hat: float,
-    dens: int | None = None,
-    tol: float | None = None,
-    limit: int = 6,
+def _lower_report(
+    t: EdgeType, xi, delta: float, delta_hat: float, dens: int, types: _TypeTable, h_dist_max: float
 ) -> RDReport:
-    """Converse bound on R_n(Xi + delta/n), clamped at 0."""
+    """The converse needs min over distortion types of H(t) - H(type),
+    i.e. the largest distortion-type entropy, which the scan returns."""
     n = t.n
-    if dens is None:
-        dens = t.density()
-    h_base = _entropy_of(t, tol)
-    gap = _measured_gap(t, h_base, limit=limit)
-    best = math.inf
-    for d_r, d_c in omega_iter(xi, n):
-        dist_type = EdgeType(d_r, d_c, t.w)
-        if not class_nonempty(dist_type, limit=limit):
-            continue
-        best = min(best, (h_base - _entropy_of(dist_type, tol)) / n**2)
-    if best == math.inf:
-        raise ValueError("no feasible distortion type in Omega")
+    best = (types.entropy(t) - h_dist_max) / n**2
+    gap = types.gap(t)
     xf = _as_fraction(xi)
     lnn = math.log(n) if n > 1 else 0.0
     hoeffding_ok = 4.0 * n * math.exp(-2.0 * dens * dens * delta_hat * delta_hat / n) < 0.5
@@ -297,6 +278,52 @@ def rd_lower(
         slack_terms={"entropy_difference": best, **slack},
         assumption_flags={"hoeffding_condition": hoeffding_ok},
     )
+
+
+def rd_upper(
+    t: EdgeType,
+    xi,
+    delta: float,
+    dens: int | None = None,
+    tol: float | None = None,
+    limit: int = 6,
+) -> RDReport:
+    """Achievability bound on R_n(Xi + delta/n) for the class of t."""
+    if dens is None:
+        dens = t.density()
+    return _upper_report(t, xi, delta, dens, _covering_scan(t, xi, _TypeTable(tol, limit)))
+
+
+def rd_lower(
+    t: EdgeType,
+    xi,
+    delta: float,
+    delta_hat: float,
+    dens: int | None = None,
+    tol: float | None = None,
+    limit: int = 6,
+) -> RDReport:
+    """Converse bound on R_n(Xi + delta/n), clamped at 0."""
+    return rd_bounds(t, xi, delta, delta_hat, dens, tol, limit)[1]
+
+
+def rd_bounds(
+    t: EdgeType,
+    xi,
+    delta: float,
+    delta_hat: float,
+    dens: int | None = None,
+    tol: float | None = None,
+    limit: int = 6,
+) -> tuple[RDReport, RDReport]:
+    """(rd_upper, rd_lower) from one scan of Omega, in which every type
+    is solved and counted once."""
+    if dens is None:
+        dens = t.density()
+    types = _TypeTable(tol, limit)
+    scan = _covering_scan(t, xi, types)
+    upper = _upper_report(t, xi, delta, dens, scan)
+    return upper, _lower_report(t, xi, delta, delta_hat, dens, types, scan[3])
 
 
 def _cover_pool(t: EdgeType, xi, delta: float, dens: int, limit: int) -> list[DiGraph]:
@@ -321,7 +348,7 @@ def lemma_codebook_size(
     """The covering lemma's (deliberately loose) codebook size:
     exp(max entropy difference + all slack terms + n)."""
     n = t.n
-    diff, gap, _ = _covering_scan(t, xi, tol, limit)
+    diff, gap, _, _ = _covering_scan(t, xi, _TypeTable(tol, limit))
     xf = _as_fraction(xi)
     lnn = math.log(n) if n > 1 else 0.0
     exponent = (
@@ -408,34 +435,41 @@ def verify_cover(
 # ---------------------------------------------------------------------------
 
 
-def _distortion_bits(gb: int, hb: int, n: int) -> Fraction:
-    x = gb ^ hb
-    row_mask = (1 << n) - 1
-    worst = 0
-    cols = [0] * n
-    for i in range(n):
-        row = (x >> (i * n)) & row_mask
-        worst = max(worst, bin(row).count("1"))
-        for j in range(n):
-            cols[j] += (row >> j) & 1
-    worst = max(worst, max(cols))
-    return Fraction(worst, n)
+def _check_oracle_n(n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(f"n={n} exceeds exact oracle limit {limit}")
+    if n > TABLE_MAX_N:
+        raise ValueError(f"n={n} exceeds the exact oracles' ceiling n={TABLE_MAX_N} (2^(n^2) graphs)")
+
+
+def _xor_weights(n: int) -> np.ndarray:
+    """Worst row or column weight of every XOR pattern x in [0, 2^(n^2)),
+    in the row-major bit order of `DiGraph.to_bits`."""
+    x = np.arange(1 << (n * n), dtype="<u4").view(np.uint8).reshape(-1, 4)
+    cells = np.unpackbits(x, axis=1, count=n * n, bitorder="little").reshape(-1, n, n)
+    rows = cells.sum(axis=2, dtype=np.int8).max(axis=1)
+    return np.maximum(rows, cells.sum(axis=1, dtype=np.int8).max(axis=1))
 
 
 def _coverage_masks(
     source_bits: list[int], n: int, thr: Fraction
 ) -> list[tuple[int, int]]:
     """For every candidate codeword (all 2^(n^2) graphs) the bitmask of
-    source elements it covers; dominated and empty candidates dropped."""
+    source elements it covers; dominated and empty candidates dropped.
+
+    h covers g iff worst(h ^ g) / n <= thr, i.e. worst <= floor(thr * n); the
+    candidate x source block is built BLOCK_CELLS at a time, one int per row."""
+    covered = _xor_weights(n) <= max(-1, min(n, thr.numerator * n // thr.denominator))
+    index = np.min_scalar_type(covered.size - 1)
+    src = np.array(source_bits, dtype=index)
+    step = max(1, BLOCK_CELLS // len(src))
     masks: dict[int, int] = {}
-    for hb in range(1 << (n * n)):
-        m = 0
-        for idx, gb in enumerate(source_bits):
-            if _distortion_bits(gb, hb, n) <= thr:
-                m |= 1 << idx
-        if m:
-            prev = masks.get(m)
-            if prev is None or hb < prev:
+    for start in range(0, covered.size, step):
+        hs = np.arange(start, min(start + step, covered.size), dtype=index)
+        packed = np.packbits(covered[hs[:, None] ^ src], axis=1, bitorder="little")
+        for hb, row in enumerate(packed, start):
+            m = int.from_bytes(row.tobytes(), "little")
+            if m and m not in masks:  # ascending h: the first is the smallest
                 masks[m] = hb
     items = sorted(masks.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1]))
     # drop strictly dominated coverage masks
@@ -499,8 +533,7 @@ def exact_rn(
     if not graphs:
         return 0.0, Codebook(graphs=(), seed=None, m_target=0, provenance="empty source")
     n = graphs[0].n
-    if n > limit:
-        raise ValueError(f"n={n} exceeds exact oracle limit {limit}")
+    _check_oracle_n(n, limit)
     thr = _as_fraction(d)
     source_bits = [g.to_bits() for g in graphs]
     cands = _coverage_masks(source_bits, n, thr)
@@ -525,31 +558,27 @@ def exact_rn_prob(
     """Exact probabilistic rate-distortion point: the smallest codebook
     leaving uncovered probability mass at most eps under f."""
     n = f.n
-    if n > limit:
-        raise ValueError(f"n={n} exceeds exact oracle limit {limit}")
+    _check_oracle_n(n, limit)
     thr = _as_fraction(d)
-    all_graphs = [DiGraph.from_bits(n, b) for b in range(1 << (n * n))]
-    weights = [graph_prob(f, g) for g in all_graphs]
+    weights = [graph_prob(f, DiGraph.from_bits(n, b)) for b in range(1 << (n * n))]
     support = [i for i, w in enumerate(weights) if w > 0]
     need = sum(weights[i] for i in support) - eps
     if need <= 0:
         return 0.0, Codebook(graphs=(), seed=None, m_target=0, provenance="eps covers everything")
-    source_bits = [all_graphs[i].to_bits() for i in support]
     wts = [weights[i] for i in support]
-    cands = _coverage_masks(source_bits, n, thr)
+    cands = _coverage_masks(support, n, thr)  # graph i has bits i
 
     def mass(m: int) -> float:
-        total = 0.0
-        k = 0
+        total = 0.0  # left to right over the set bits, no compensated sum
         while m:
-            if m & 1:
-                total += wts[k]
-            m >>= 1
-            k += 1
+            low = m & -m
+            total += wts[low.bit_length() - 1]
+            m ^= low
         return total
 
-    cands.sort(key=lambda kv: (-mass(kv[0]), kv[1]))
-    cand_mass = [mass(m) for m, _ in cands]
+    weighted = sorted(((mass(m), m, hb) for m, hb in cands), key=lambda x: (-x[0], x[2]))
+    cands = [(m, hb) for _, m, hb in weighted]
+    cand_mass = [w for w, _, _ in weighted]
     tol = 1e-12
 
     best: list[int] | None = None

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from edgetype import probability
-from edgetype.cli import main
+from edgetype.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -348,6 +348,78 @@ class TestCoverAndRD:
         )
         assert code == 0
         assert json.loads(out)["codebook_size"] == 0
+
+    def test_rn_exact_above_table_ceiling_exit_two(self, capsys, write_json):
+        t = write_json({"r": [1] * 5, "c": [1] * 5})
+        code = main(["rn-exact", "--type", t, "--d", "0", "--rn-limit", "5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "ceiling n=4" in captured.err
+
+    def test_rn_exact_params_pinned_bytes(self, capsys, write_json):
+        # n = 3 parameters drawn once with random.Random(7); the exact oracle must print these bytes
+        params = {"a": [-0.705, -1.397, 0.604], "b": [-1.71, 0.144, -0.537]}
+        argv = ["rn-exact", "--type", write_json({"r": [1, 1, 1], "c": [1, 1, 1]})]
+        argv += ["--params", write_json(params), "--d", "1/3", "--eps", "0.25"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out == (
+            '{"codebook": [{"adj": [[1, 1, 1], [1, 1, 1], [1, 0, 0]], "n": 3}, '
+            '{"adj": [[1, 0, 1], [1, 1, 1], [1, 1, 0]], "n": 3}, '
+            '{"adj": [[1, 1, 1], [1, 1, 1], [1, 0, 1]], "n": 3}], '
+            '"codebook_size": 3, "rate_bits": 0.1761069445245729}\n'
+        )
+
+    def test_rd_bounds_above_limit_exit_four(self, capsys, write_json):
+        t = write_json({"r": [3] * 7, "c": [3] * 7})
+        code = main(["rd-bounds", "--type", t, "--xi", "0", "--delta", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "limit 6" in captured.err
+
+    def test_rd_bounds_measures_gap_within_raised_limit(self, capsys, write_json):
+        t = write_json({"r": [3] * 7, "c": [3] * 7})
+        code, out = run(capsys, "rd-bounds", "--type", t, "--xi", "0", "--delta", "0.2", "--limit", "7")
+        assert code == 0
+        assert json.loads(out)["upper"]["slack_terms"]["counting_gap"] > 0
+
+
+class TestParserReuse:
+    """main builds its parser once; no call may see the arguments of the one before."""
+
+    @staticmethod
+    def fresh(capsys, *argv):
+        _build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    def test_enumerate_delta_then_plain(self, capsys, write_json):
+        t = write_json({"r": [3, 0, 0], "c": [1, 1, 1]})
+        widened = run(capsys, "enumerate", "--type", t, "--delta", "0.5")
+        plain = run(capsys, "enumerate", "--type", t)
+        assert plain == self.fresh(capsys, "enumerate", "--type", t)
+        assert widened == self.fresh(capsys, "enumerate", "--type", t, "--delta", "0.5")
+        assert plain != widened
+
+    def test_cover_m_then_default(self, capsys, write_json):
+        t = write_json(REGULAR_PAIR)
+        drawn = run(capsys, "cover", "--type", t, "--xi", "0", "--m", "3")
+        lemma = run(capsys, "cover", "--type", t, "--xi", "0")
+        assert lemma == self.fresh(capsys, "cover", "--type", t, "--xi", "0")
+        assert drawn == self.fresh(capsys, "cover", "--type", t, "--xi", "0", "--m", "3")
+        assert drawn != lemma
+
+    def test_usage_error_then_valid_call(self, capsys, write_json):
+        t = write_json(REGULAR_PAIR)
+        run(capsys, "count", "--type", t)  # the parser is built
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--type", t, "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "count", "--type", t) == self.fresh(capsys, "count", "--type", t)
+
+    def test_parser_built_once(self):
+        main_parser = _build_parser()
+        assert _build_parser() is main_parser
 
 
 class TestVerifyAll:

@@ -1,10 +1,13 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from edgetype.enumeration import enumerate_class, enumerate_delta_class
+from edgetype import ratedistortion
+from edgetype.enumeration import EnumerationLimitError, class_nonempty, enumerate_class, enumerate_delta_class
 from edgetype.graphs import DiGraph, distortion
 from edgetype.maxent import ProductRandomGraph
 from edgetype.ratedistortion import (
@@ -16,6 +19,7 @@ from edgetype.ratedistortion import (
     high_prob_set_lower,
     lemma_codebook_size,
     omega_iter,
+    rd_bounds,
     rd_lower,
     rd_upper,
     sign_variants,
@@ -98,6 +102,12 @@ class TestDeltaClassCardinalityBounds:
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
             delta_class_cardinality_bounds(EdgeType((2, 0), (2, 0)), 0.1, 1)
+
+    def test_above_limit_raises(self):
+        # the counting gap is measured, never taken as 0, so n > limit refuses
+        t = EdgeType((1,) * 7, (1,) * 7)
+        with pytest.raises(EnumerationLimitError):
+            delta_class_cardinality_bounds(t, 0.2, 1)
 
     def test_upper_monotone_in_delta(self):
         t = EdgeType((1, 1, 1), (1, 1, 1))
@@ -227,6 +237,100 @@ class TestRDReports:
         assert rep.kind == "lower"
 
 
+class TestRDBoundsOnePass:
+    TYPES = [
+        (EdgeType((1, 1, 1), (1, 1, 1)), Fraction(1, 3)),
+        (EdgeType((2, 1, 0), (1, 1, 1)), Fraction(2, 3)),
+        (EdgeType((1, 1, 1), (1, 1, 1), DiGraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])), Fraction(1, 3)),
+        (EdgeType((2, 1, 1, 0), (1, 1, 1, 1)), Fraction(1, 4)),
+    ]
+
+    @pytest.mark.parametrize("t,xi", TYPES)
+    def test_upper_equals_rd_upper(self, t, xi):
+        up, lo = rd_bounds(t, xi, 0.25, 0.2)
+        assert up == rd_upper(t, xi, 0.25)
+        assert lo.kind == "lower"
+
+    @pytest.mark.parametrize("t,xi", TYPES)
+    def test_lower_is_min_over_distortion_types(self, t, xi):
+        # the converse's entropy term, recomputed one distortion type at a time
+        h_t = ratedistortion._entropy_of(t, None)
+        dist_types = (EdgeType(d_r, d_c, t.w) for d_r, d_c in omega_iter(xi, t.n))
+        diffs = [(h_t - ratedistortion._entropy_of(d, None)) / t.n**2 for d in dist_types if class_nonempty(d)]
+        assert rd_lower(t, xi, 0.25, 0.2).slack_terms["entropy_difference"] == min(diffs)
+
+    @pytest.mark.parametrize("t,xi", TYPES)
+    def test_each_type_solved_and_counted_once(self, t, xi, monkeypatch):
+        seen = {"solve": [], "count": []}
+
+        def recorded(name, fn):
+            def wrapper(tt, *args, **kwargs):
+                seen[name].append((tt.r, tt.c))
+                return fn(tt, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ratedistortion, "solve_maxent", recorded("solve", ratedistortion.solve_maxent))
+        monkeypatch.setattr(ratedistortion, "count_class", recorded("count", ratedistortion.count_class))
+        rd_bounds(t, xi, 0.25, 0.2)
+        for calls in seen.values():
+            assert calls and len(calls) == len(set(calls))
+
+
+THRESHOLDS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_distortions(n: int) -> list[list[int]]:
+    """k[h][g] with distortion(g, h) = k / n, from `graphs.distortion`."""
+    graphs = [DiGraph.from_bits(n, b) for b in range(1 << (n * n))]
+    return [[distortion(g, h).numerator for g in graphs] for h in graphs]
+
+
+def reference_masks(source_bits, n, thr):
+    """Brute force: every candidate's coverage mask from pairwise
+    distortions, the smallest candidate per mask, dominated masks dropped."""
+    within = [Fraction(k, n) <= thr for k in range(n + 1)]
+    masks = {}
+    for hb, row in enumerate(_pair_distortions(n)):
+        m = sum(1 << k for k, gb in enumerate(source_bits) if within[row[gb]])
+        if m and m not in masks:
+            masks[m] = hb
+    kept = []
+    for m, hb in sorted(masks.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1])):
+        if not any(m | km == km for km, _ in kept):
+            kept.append((m, hb))
+    return kept
+
+
+class TestCoverageTable:
+    """`_coverage_masks` (one XOR-pattern table) against pairwise distortions."""
+
+    @pytest.mark.parametrize("thr", THRESHOLDS)
+    def test_every_source_set_n1(self, thr):
+        for sources in ([0], [1], [0, 1]):
+            assert ratedistortion._coverage_masks(sources, 1, thr) == reference_masks(sources, 1, thr)
+
+    def test_every_source_set_n2(self):
+        # each of the 2^16 - 1 source sets once, the thresholds taken in turn
+        for subset in range(1, 1 << 16):
+            sources = [b for b in range(16) if subset >> b & 1]
+            thr = THRESHOLDS[subset % len(THRESHOLDS)]
+            assert ratedistortion._coverage_masks(sources, 2, thr) == reference_masks(sources, 2, thr)
+
+    @pytest.mark.parametrize("thr", THRESHOLDS)
+    def test_seeded_source_sets_n3(self, thr):
+        rng = random.Random(11)
+        source_sets = [list(range(512))] + [
+            sorted(rng.sample(range(512), rng.randint(1, 160))) for _ in range(19)
+        ]
+        for sources in source_sets:
+            assert ratedistortion._coverage_masks(sources, 3, thr) == reference_masks(sources, 3, thr)
+
+    def test_negative_threshold_covers_nothing(self):
+        assert ratedistortion._coverage_masks([0, 5], 2, Fraction(-1, 2)) == []
+
+
 class TestExactRn:
     def test_two_member_class_at_zero(self):
         members = list(enumerate_class(EdgeType((1, 1), (1, 1))))
@@ -259,6 +363,14 @@ class TestExactRn:
     def test_limit_enforced(self):
         with pytest.raises(ValueError):
             exact_rn([DiGraph.empty(4)], 0)
+
+    def test_table_ceiling_enforced(self):
+        # a raised limit cannot reach n = 5: the table would have 2^25 entries
+        f = ProductRandomGraph(p=np.full((5, 5), 0.5), w=DiGraph.complete(5))
+        with pytest.raises(ValueError, match="ceiling n=4"):
+            exact_rn([DiGraph.empty(5)], 0, limit=5)
+        with pytest.raises(ValueError, match="ceiling n=4"):
+            exact_rn_prob(f, 0, 0.5, limit=5)
 
 
 class TestExactRnProb:
