@@ -86,12 +86,7 @@ def graph_json(g: DiGraph) -> dict:
 
 
 def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_lines((obj,), out_path)
 
 
 def _emit_lines(objs, out_path: str | None) -> None:

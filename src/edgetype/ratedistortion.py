@@ -35,7 +35,6 @@ __all__ = [
     "omega_iter",
     "sign_variants",
     "delta_class_cardinality_bounds",
-    "high_prob_set_lower",
     "build_cover_random",
     "verify_cover",
     "rd_upper",
@@ -155,35 +154,6 @@ def delta_class_cardinality_bounds(
     return lower, upper
 
 
-def high_prob_set_lower(
-    t: EdgeType,
-    delta_hat: float,
-    eta: float,
-    dens: int,
-    tol: float | None = None,
-    limit: int = 6,
-) -> tuple[float, bool]:
-    """Lower bound on (1/n^2) ln|A| for any set A with probability >= eta
-    under any margin-matching product graph.  Returns (bound, vacuous);
-    vacuous is True when the Hoeffding precondition
-    4n exp(-2 dens^2 delta_hat^2 / n) <= eta/2 fails.
-    """
-    n = t.n
-    vacuous = 4.0 * n * math.exp(-2.0 * dens * dens * delta_hat * delta_hat / n) > eta / 2.0
-    h = _entropy_of(t, tol)
-    gap = _measured_gap(t, h, limit=limit)
-    lnn = math.log(n) if n > 1 else 0.0
-    bound = (
-        h / n**2
-        - binary_entropy(delta_hat)
-        + math.log(eta / 2.0) / n**2
-        - gap * lnn / n
-        - 2.0 * math.log(dens + 1) / n
-        - math.log(n * dens) / n**2
-    )
-    return bound, vacuous
-
-
 class _TypeTable:
     """Emptiness, entropy and measured counting gap of the types met by
     one scan of Omega, each computed at most once.  Lives for one call,
@@ -201,8 +171,11 @@ def _covering_scan(t: EdgeType, xi, types: _TypeTable) -> tuple[float, float, bo
 
     Returns (max_diff_per_cell, max_measured_gap, density_preserved,
     max_distortion_entropy).  Infeasible variants and infeasible
-    distortion types are skipped.
+    distortion types are skipped; the zero budget always contributes t
+    itself against the zero type.
     """
+    if not types.nonempty(t):
+        raise ValueError("empty class")
     n = t.n
     dens = t.density()
     best = -math.inf
@@ -223,8 +196,6 @@ def _covering_scan(t: EdgeType, xi, types: _TypeTable) -> tuple[float, float, bo
             if variant.density() != dens:
                 density_ok = False
             best = max(best, (types.entropy(variant) - h_dist) / n**2)
-    if best == -math.inf:
-        raise ValueError("no feasible sign variant for any distortion budget")
     return best, max_gap, density_ok, h_dist_max
 
 
@@ -376,11 +347,11 @@ def build_cover_random(
     from the covering pool.  With m omitted, the lemma's size formula is
     used; if that exceeds the draw cap the whole pool is returned, which
     trivially covers (every class member lies in its own pool)."""
+    if not class_nonempty(t, limit=limit):
+        raise ValueError("empty class")
     if dens is None:
         dens = t.density()
     pool = _cover_pool(t, xi, delta, dens, limit)
-    if not pool:
-        raise ValueError("empty covering pool")
     m_target = m
     if m_target is None:
         m_target = math.ceil(lemma_codebook_size(t, xi, delta, dens, tol, limit))

@@ -4,16 +4,18 @@ matrix, invariant positions, components, and restriction-graph reduction.
 An edge-type is a pair of degree vectors (r, c) plus an optional
 restriction graph W whose non-edges are forbidden cells.  A *normalized*
 type has both r and c sorted non-increasing; the structure matrix is
-defined on normalized types with W complete, and the invariant/component
-machinery built on it normalizes internally and answers in the caller's
-vertex labels.  For restricted W the enumeration oracle is the only route
-(see edgetype.enumeration).
+defined on normalized types with W complete.  Invariant positions and
+components are two readings of one staircase: the degrees are sorted
+once, the structure matrix is built once, and both invariant masks and
+the block cuts come from its zero cells, answered in the caller's vertex
+labels.  For restricted W the enumeration oracle is the only route (see
+edgetype.enumeration).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +29,6 @@ __all__ = [
     "gale_ryser_feasible",
     "normalize",
     "structure_matrix",
-    "structure_matrix_block_form",
     "invariant_positions",
     "components_from_structure",
     "restriction_necessary",
@@ -45,6 +46,8 @@ class EdgeType:
 
     def __post_init__(self):
         n = len(self.r)
+        if n == 0:
+            raise ValueError("edge types need n >= 1 vertices")
         if len(self.c) != n:
             raise ValueError("r and c must have equal length")
         if self.w is None:
@@ -82,15 +85,6 @@ class StructureMatrix:
     """(n+1) x (n+1) integer matrix of a normalized unrestricted type."""
 
     t: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.t.shape[0] - 1
-
-    def zero_cells(self) -> list[tuple[int, int]]:
-        """Zero positions in staircase order: e ascending, f descending."""
-        zs = [(int(e), int(f)) for e, f in zip(*np.nonzero(self.t == 0))]
-        return sorted(zs, key=lambda ef: (ef[0], -ef[1]))
 
     def tolist(self) -> list[list[int]]:
         return self.t.astype(int).tolist()
@@ -185,6 +179,11 @@ def gale_ryser_feasible(r: Sequence[int], c: Sequence[int]) -> bool:
     return partial_c == partial_cbar
 
 
+def _degree_order(deg: Sequence[int]) -> tuple[int, ...]:
+    """Vertices by non-increasing degree, ties in vertex order."""
+    return tuple(np.argsort(-np.asarray(deg), kind="stable").tolist())
+
+
 def normalize(t: EdgeType) -> tuple[EdgeType, tuple[int, ...], tuple[int, ...]]:
     """Sort r and c non-increasing; return the permutations mapping sorted
     indices back to original vertices (stable: ties keep original order).
@@ -193,9 +192,8 @@ def normalize(t: EdgeType) -> tuple[EdgeType, tuple[int, ...], tuple[int, ...]]:
     position k, likewise col_perm for in-degrees.  The restriction graph
     is permuted accordingly.
     """
-    n = t.n
-    row_perm = tuple(sorted(range(n), key=lambda i: (-t.r[i], i)))
-    col_perm = tuple(sorted(range(n), key=lambda j: (-t.c[j], j)))
+    row_perm = _degree_order(t.r)
+    col_perm = _degree_order(t.c)
     r_sorted = tuple(t.r[i] for i in row_perm)
     c_sorted = tuple(t.c[j] for j in col_perm)
     w_sorted = DiGraph(t.w.adj[np.ix_(row_perm, col_perm)])
@@ -222,33 +220,50 @@ def structure_matrix(r: Sequence[int], c: Sequence[int]) -> StructureMatrix:
     return StructureMatrix(t=t)
 
 
-def structure_matrix_block_form(g: DiGraph) -> StructureMatrix:
-    """Block-count form evaluated on a member graph:
-    t[e][f] = #zeros of the top-left e x f block + #ones of the bottom-right
-    (n-e) x (n-f) block.  Cross-check for the closed form.
+class _Staircase(NamedTuple):
+    """The zero staircase of an unrestricted class, read in sorted
+    positions: both invariant masks and the interior cuts, with the
+    permutations that map sorted positions to vertex labels."""
+
+    row_perm: tuple[int, ...]
+    col_perm: tuple[int, ...]
+    inv1: np.ndarray
+    inv0: np.ndarray
+    row_cuts: list[int]
+    col_cuts: list[int]
+
+
+def _staircase(t: EdgeType, what: str, hint: str = "") -> _Staircase:
+    """Sort the degrees once, build the structure matrix once, and read
+    everything off its zero cells (Haber's criterion): sorted cell (i, j)
+    is invariant 1 iff some zero (e, f) has e > i and f > j, and
+    invariant 0 iff some zero has e <= i and f <= j.  So row i's
+    invariant ones end at the largest zero column of the rows below it
+    (a suffix maximum), and its invariant zeros start at the smallest
+    zero column of the rows up to it (a prefix minimum).
     """
-    n = g.n
-    a = g.adj.astype(np.int64)
-    ones_tl = np.zeros((n + 1, n + 1), dtype=np.int64)
-    ones_tl[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
-    total = ones_tl[n, n]
-    t = np.empty((n + 1, n + 1), dtype=np.int64)
-    for e in range(n + 1):
-        for f in range(n + 1):
-            n1_w = ones_tl[e, f]
-            n0_w = e * f - n1_w
-            n1_z = total - ones_tl[e, n] - ones_tl[n, f] + n1_w
-            t[e, f] = n0_w + n1_z
-    return StructureMatrix(t=t)
-
-
-def _masks_from_zeros(n: int, zeros: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    inv1 = np.zeros((n, n), dtype=np.uint8)
-    inv0 = np.zeros((n, n), dtype=np.uint8)
-    for e, f in zeros:
-        inv1[:e, :f] = 1
-        inv0[e:, f:] = 1
-    return inv1, inv0
+    if not t.unrestricted:
+        raise ValueError(f"{what} from the structure matrix require W complete{hint}")
+    if not gale_ryser_feasible(t.r, t.c):
+        raise ValueError(f"empty class has no {what}")
+    n = t.n
+    row_perm = _degree_order(t.r)
+    col_perm = _degree_order(t.c)
+    zero = structure_matrix([t.r[i] for i in row_perm], [t.c[j] for j in col_perm]).t == 0
+    held = zero.any(axis=1)
+    first = np.where(held, zero.argmax(axis=1), n + 1)
+    last = np.where(held, n - zero[:, ::-1].argmax(axis=1), 0)
+    inv1_end = np.maximum.accumulate(last[::-1])[::-1][1:]
+    inv0_start = np.minimum.accumulate(first)[:n]
+    j = np.arange(n)
+    return _Staircase(
+        row_perm=row_perm,
+        col_perm=col_perm,
+        inv1=j < inv1_end[:, None],
+        inv0=j >= inv0_start[:, None],
+        row_cuts=(np.flatnonzero(held[1:n]) + 1).tolist(),
+        col_cuts=(np.flatnonzero(zero[:, 1:n].any(axis=0)) + 1).tolist(),
+    )
 
 
 def invariant_positions(t: EdgeType) -> InvariantMasks:
@@ -256,21 +271,15 @@ def invariant_positions(t: EdgeType) -> InvariantMasks:
     of the structure matrix (Haber's criterion), in the caller's original
     vertex indexing.
     """
-    if not t.unrestricted:
-        raise ValueError(
-            "invariant positions from the structure matrix require W complete; "
-            "use the enumeration oracle for restricted types"
-        )
-    if not gale_ryser_feasible(t.r, t.c):
-        raise ValueError("empty class has no invariant positions")
-    tn, row_perm, col_perm = normalize(t)
-    sm = structure_matrix(tn.r, tn.c)
-    inv1_n, inv0_n = _masks_from_zeros(t.n, sm.zero_cells())
+    s = _staircase(
+        t, "invariant positions", "; use the enumeration oracle for restricted types"
+    )
     n = t.n
+    cells = np.ix_(s.row_perm, s.col_perm)
     inv1 = np.zeros((n, n), dtype=np.uint8)
     inv0 = np.zeros((n, n), dtype=np.uint8)
-    inv1[np.ix_(row_perm, col_perm)] = inv1_n
-    inv0[np.ix_(row_perm, col_perm)] = inv0_n
+    inv1[cells] = s.inv1
+    inv0[cells] = s.inv0
     free = (1 - inv1 - inv0).astype(np.uint8)
     return InvariantMasks(inv1=DiGraph(inv1), inv0=DiGraph(inv0), free=DiGraph(free))
 
@@ -278,27 +287,15 @@ def invariant_positions(t: EdgeType) -> InvariantMasks:
 def components_from_structure(t: EdgeType) -> ComponentPartition:
     """Component partition of an unrestricted class, in t's vertex labels.
 
-    The zero cells of the normalized type's structure matrix form a
-    staircase; their distinct e-values (resp. f-values) cut the sorted
+    The rows (resp. columns) of the staircase's zero cells cut the sorted
     positions into row (resp. column) blocks, which are mapped back to
     vertex labels.  A block all of whose cells are invariant is trivial;
     blocks spanned by a staircase gap (both coordinate jumps >= 1 between
     staircase-adjacent zeros) are the non-trivial components.
     """
-    if not t.unrestricted:
-        raise ValueError("components from the structure matrix require W complete")
-    if not gale_ryser_feasible(t.r, t.c):
-        raise ValueError("empty class has no components")
-    n = t.n
-    tn, row_perm, col_perm = normalize(t)
-    zeros = structure_matrix(tn.r, tn.c).zero_cells()
-    inv1, inv0 = _masks_from_zeros(n, zeros)
+    s = _staircase(t, "components")
     return ComponentPartition.from_cuts(
-        sorted({e for e, _ in zeros if 0 < e < n}),
-        sorted({f for _, f in zeros if 0 < f < n}),
-        1 - inv1 - inv0,
-        row_perm,
-        col_perm,
+        s.row_cuts, s.col_cuts, ~(s.inv1 | s.inv0), s.row_perm, s.col_perm
     )
 
 

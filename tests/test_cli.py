@@ -29,6 +29,7 @@ def run(capsys, *argv):
 
 REGULAR_PAIR = {"r": [1, 1], "c": [1, 1]}
 INFEASIBLE = {"r": [2, 0], "c": [2, 0]}
+ZERO_VERTICES = {"r": [], "c": []}
 
 
 class TestFeasible:
@@ -383,6 +384,15 @@ class TestCoverAndRD:
         assert code == 0
         assert json.loads(out)["upper"]["slack_terms"]["counting_gap"] > 0
 
+    @pytest.mark.parametrize("spec", [INFEASIBLE, {"r": [1, 1], "c": [1, 0]}])
+    @pytest.mark.parametrize("xi", ["0", "1/2"])
+    @pytest.mark.parametrize("argv", [("rd-bounds",), ("cover",), ("cover", "--m", "3")])
+    def test_empty_class_exit_one(self, capsys, write_json, spec, xi, argv):
+        code = main([argv[0], "--type", write_json(spec), "--xi", xi, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "empty class" in captured.err
+
 
 class TestParserReuse:
     """main builds its parser once; no call may see the arguments of the one before."""
@@ -449,6 +459,37 @@ class TestErrorHandling:
         g = write_json({"n": 3, "adj": [[1, 1], [1, 0]]})
         code, _ = run(capsys, "distortion", "--graph", g, "--graph2", g)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (cmd, "--type", ZERO_VERTICES, *extra)
+            for cmd, *extra in [
+                ("feasible",),
+                ("normalize",),
+                ("structure",),
+                ("invariants",),
+                ("components",),
+                ("count",),
+                ("enumerate",),
+                ("interchange-check",),
+                ("maxent",),
+                ("bounds",),
+                ("prob", "--params", {"a": [], "b": []}),
+                ("delta", "--delta", "0"),
+                ("conditional", "--graph", {"n": 0, "adj": []}),
+                ("cover", "--xi", "0"),
+                ("rd-bounds", "--xi", "0"),
+                ("rn-exact", "--d", "0"),
+            ]
+        ]
+        + [("sanov", "--params", {"a": [], "b": []}, "--types", ZERO_VERTICES)],
+    )
+    def test_zero_vertices_exit_two(self, capsys, write_json, argv):
+        code = main([write_json(a) if isinstance(a, dict) else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "n >= 1" in captured.err
 
     @pytest.mark.parametrize("flag", [("--format", "csv"), ("--format", "json"), ("--jobs", "2")])
     def test_removed_flags_rejected(self, capsys, write_json, flag):

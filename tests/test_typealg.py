@@ -5,6 +5,7 @@ import pytest
 
 from edgetype.graphs import DiGraph
 from edgetype.typealg import (
+    ComponentPartition,
     EdgeType,
     components_from_structure,
     gale_ryser_feasible,
@@ -13,7 +14,6 @@ from edgetype.typealg import (
     reduce_by_invariants,
     restriction_necessary,
     structure_matrix,
-    structure_matrix_block_form,
 )
 
 # Golden 11-vertex example: normalized degree vectors whose structure
@@ -34,6 +34,43 @@ GOLDEN_T = [
     [1, 0, 1, 2, 4, 6, 11, 16, 23, 30, 39, 48],
     [0, 0, 2, 4, 7, 10, 16, 22, 30, 38, 48, 58],
 ]
+
+
+def structure_matrix_block_form(g: DiGraph) -> np.ndarray:
+    """Block-count form evaluated on a member graph:
+    t[e][f] = #zeros of the top-left e x f block + #ones of the bottom-right
+    (n-e) x (n-f) block.  Cross-check for the closed form.
+    """
+    n = g.n
+    a = g.adj.astype(np.int64)
+    ones_tl = np.zeros((n + 1, n + 1), dtype=np.int64)
+    ones_tl[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
+    total = ones_tl[n, n]
+    t = np.empty((n + 1, n + 1), dtype=np.int64)
+    for e in range(n + 1):
+        for f in range(n + 1):
+            n1_w = ones_tl[e, f]
+            n0_w = e * f - n1_w
+            n1_z = total - ones_tl[e, n] - ones_tl[n, f] + n1_w
+            t[e, f] = n0_w + n1_z
+    return t
+
+
+def staircase_reference(r, c):
+    """Haber's criterion cell by cell on a normalized type: every zero
+    (e, f) of the structure matrix makes the top-left e x f rectangle
+    invariant 1 and the bottom-right one from (e, f) invariant 0.  The
+    zero rows and columns strictly inside (0, n) are the cuts."""
+    n = len(r)
+    inv1 = np.zeros((n, n), dtype=np.uint8)
+    inv0 = np.zeros((n, n), dtype=np.uint8)
+    zeros = list(zip(*np.nonzero(structure_matrix(r, c).t == 0)))
+    for e, f in zeros:
+        inv1[:e, :f] = 1
+        inv0[e:, f:] = 1
+    row_cuts = sorted({int(e) for e, _ in zeros if 0 < e < n})
+    col_cuts = sorted({int(f) for _, f in zeros if 0 < f < n})
+    return inv1, inv0, row_cuts, col_cuts
 
 
 def all_degree_pairs(n):
@@ -205,6 +242,23 @@ class TestInvariantPositions:
         # row 1 must carry both invariant ones, row 0 none
         assert masks.inv1.adj[1].sum() == 2 and masks.inv1.adj[0].sum() == 0
 
+    def test_staircase_matches_rectangle_union_seeded(self):
+        rng = np.random.default_rng(7)
+        for _ in range(120):
+            n = int(rng.integers(5, 61))
+            adj = (rng.random((n, n)) < rng.random()).astype(np.uint8)
+            g = DiGraph(adj)
+            t = EdgeType.of_graph(g)
+            masks = invariant_positions(t)
+            tn, rp, cp = normalize(t)
+            inv1, inv0, _, _ = staircase_reference(tn.r, tn.c)
+            cells = np.ix_(rp, cp)
+            assert (masks.inv1.adj[cells] == inv1).all(), (t.r, t.c)
+            assert (masks.inv0.adj[cells] == inv0).all(), (t.r, t.c)
+            # the generating graph is a member of its own class
+            assert not (masks.inv1.adj & ~adj).any()
+            assert not (masks.inv0.adj & adj).any()
+
 
 class TestComponents:
     def test_golden_nontrivial_blocks(self):
@@ -234,6 +288,16 @@ class TestComponents:
                     assert (i, j) not in cells
                     cells.add((i, j))
         assert len(cells) == 121
+
+    def test_cuts_match_rectangle_union_seeded(self):
+        rng = np.random.default_rng(8)
+        for _ in range(120):
+            n = int(rng.integers(5, 61))
+            t = EdgeType.of_graph(DiGraph(rng.random((n, n)) < rng.random()))
+            tn, rp, cp = normalize(t)
+            inv1, inv0, row_cuts, col_cuts = staircase_reference(tn.r, tn.c)
+            expected = ComponentPartition.from_cuts(row_cuts, col_cuts, 1 - inv1 - inv0, rp, cp)
+            assert components_from_structure(t) == expected, (t.r, t.c)
 
 
 class TestRestrictionNecessary:
