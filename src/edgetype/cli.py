@@ -16,6 +16,8 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import enumeration, maxent, probability, ratedistortion, typealg
 from .graphs import DiGraph, distortion
 from .typealg import EdgeType
@@ -90,12 +92,39 @@ def _emit(obj, out_path: str | None) -> None:
 
 
 def _emit_lines(objs, out_path: str | None) -> None:
-    lines = "".join(json.dumps(o, sort_keys=True) + "\n" for o in objs)
+    _write("".join(json.dumps(o, sort_keys=True) + "\n" for o in objs), out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(lines)
+            fh.write(text)
     else:
-        sys.stdout.write(lines)
+        sys.stdout.write(text)
+
+
+def _matrix_json(p: np.ndarray) -> str:
+    """`json.dumps(p.tolist())`, encoding each distinct row of p once.  F_T has
+    few distinct rows and columns; telling them apart by bytes keeps it exact."""
+    (row_reps, row_of), (col_reps, col_of) = _distinct(p), _distinct(p.T)
+    # a float's JSON text holds no ", ", so an encoded row splits into its cells
+    cells = [json.dumps(x)[1:-1].split(", ") for x in p[np.ix_(row_reps, col_reps)].tolist()]
+    rows = ["[" + ", ".join([cell[j] for j in col_of]) + "]" for cell in cells]
+    return "[" + ", ".join([rows[i] for i in row_of]) + "]"
+
+
+def _distinct(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """First index of each distinct row of m, and the label of every row."""
+    seen: dict[bytes, int] = {}
+    labels = [seen.setdefault(row.tobytes(), len(seen)) for row in m]
+    return np.unique(labels, return_index=True)[1], labels
+
+
+def _dens(args, t: EdgeType) -> int:
+    """--dens, or the type's density when the flag is absent."""
+    if args.dens is not None and args.dens < 0:
+        raise ValueError("dens must be nonnegative")
+    return t.density() if args.dens is None else args.dens
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +207,11 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     t = parse_type(_load_json(args.type))
+    dens = _dens(args, t)
+    if args.delta < 0:
+        raise ValueError("delta must be nonnegative")
     if args.delta:
-        stream = enumeration.enumerate_delta_class(
-            t, args.delta, args.dens or t.density(), limit=args.limit
-        )
+        stream = enumeration.enumerate_delta_class(t, args.delta, dens, limit=args.limit)
     else:
         stream = enumeration.enumerate_class(t, limit=args.limit)
     _emit_lines((graph_json(g) for g in stream), args.out)
@@ -198,19 +228,17 @@ def cmd_interchange_check(args) -> int:
 def cmd_maxent(args) -> int:
     t = parse_type(_load_json(args.type))
     f, v, report = maxent.solve_maxent(t, tol=args.tol)
-    _emit(
-        {
-            "p": f.p.tolist(),
-            "s": list(v.s),
-            "t": list(v.t),
-            "alpha": report.alpha,
-            "entropy_nats": report.entropy_nats,
-            "entropy_bits": report.entropy_nats / math.log(2),
-            "iterations": report.iterations,
-            "margins_residual": report.grad_norm,
-        },
-        args.out,
-    )
+    fields = {  # every key but p, which is encoded on its own
+        "s": list(v.s),
+        "t": list(v.t),
+        "alpha": report.alpha,
+        "entropy_nats": report.entropy_nats,
+        "entropy_bits": report.entropy_nats / math.log(2),
+        "iterations": report.iterations,
+        "margins_residual": report.grad_norm,
+    }
+    texts = {k: json.dumps(x) for k, x in fields.items()} | {"p": _matrix_json(f.p)}
+    _write("{" + ", ".join(f"{json.dumps(k)}: {texts[k]}" for k in sorted(texts)) + "}\n", args.out)
     return EXIT_OK
 
 
@@ -249,7 +277,7 @@ def cmd_sanov(args) -> int:
 
 def cmd_delta(args) -> int:
     t = parse_type(_load_json(args.type))
-    dens = args.dens or t.density()
+    dens = _dens(args, t)
     count = enumeration.count_delta_class(t, args.delta, dens, limit=args.limit)
     lo, hi = ratedistortion.delta_class_cardinality_bounds(
         t, args.delta, dens, tol=args.tol, limit=args.limit
@@ -270,7 +298,7 @@ def cmd_conditional(args) -> int:
     t = parse_type(_load_json(args.type))
     g = parse_graph(_load_json(args.graph), n=t.n)
     stream = enumeration.enumerate_conditional(
-        t, g, delta=args.delta, dens=args.dens or t.density(), limit=args.limit
+        t, g, delta=args.delta, dens=_dens(args, t), limit=args.limit
     )
     _emit_lines((graph_json(h) for h in stream), args.out)
     return EXIT_OK
@@ -292,7 +320,7 @@ def cmd_distortion(args) -> int:
 
 def cmd_cover(args) -> int:
     t = parse_type(_load_json(args.type))
-    dens = args.dens or t.density()
+    dens = _dens(args, t)
     book = ratedistortion.build_cover_random(
         t,
         args.xi,
@@ -321,7 +349,7 @@ def cmd_cover(args) -> int:
 
 def cmd_rd_bounds(args) -> int:
     t = parse_type(_load_json(args.type))
-    dens = args.dens or t.density()
+    dens = _dens(args, t)
     up, lo = ratedistortion.rd_bounds(
         t, args.xi, args.delta, args.delta_hat, dens=dens, tol=args.tol, limit=args.limit
     )
@@ -345,6 +373,8 @@ def cmd_rn_exact(args) -> int:
     d = Fraction(args.d)
     if args.params:
         params = parse_family_params(_load_json(args.params))
+        if params.n != t.n:
+            raise ValueError("dimension mismatch")
         f = probability.family_d_graph(params)
         rate, book = ratedistortion.exact_rn_prob(f, d, args.eps, limit=args.rn_limit)
     else:

@@ -139,9 +139,9 @@ def delta_class_cardinality_bounds(
 ) -> tuple[float, float]:
     """Bounds on (1/n^2) ln |T_delta| around the per-cell entropy:
 
-        H/n^2 - gap*ln(n)/n  <=  (1/n^2) ln |T_delta|  <=  H/n^2 + H_b(delta) + ln(n*dens)/n^2
+        H/n^2 - gap*ln(n)/n  <=  (1/n^2) ln |T_delta|  <=  H/n^2 + H_b(delta) + ln max(n*dens, 1)/n^2
 
-    with the measured counting gap in place of the universal constant.
+    with the measured counting gap in place of the universal constant; at dens = 0, T_delta = T.
     """
     if not class_nonempty(t, limit=limit):
         raise ValueError("empty class")
@@ -150,7 +150,7 @@ def delta_class_cardinality_bounds(
     gap = _measured_gap(t, h, limit=limit)
     lnn = math.log(n) if n > 1 else 0.0
     lower = h / n**2 - gap * lnn / n
-    upper = h / n**2 + binary_entropy(delta) + math.log(n * dens) / n**2
+    upper = h / n**2 + binary_entropy(delta) + math.log(max(n * dens, 1)) / n**2
     return lower, upper
 
 

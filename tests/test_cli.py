@@ -1,11 +1,19 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from edgetype import probability
-from edgetype.cli import _build_parser, main
+import edgetype
+from edgetype import maxent, probability
+from edgetype.cli import _build_parser, _matrix_json, main
+from edgetype.enumeration import class_invariants
+from edgetype.graphs import DiGraph
+from edgetype.typealg import EdgeType, reduce_by_invariants
 
 
 @pytest.fixture
@@ -30,6 +38,31 @@ def run(capsys, *argv):
 REGULAR_PAIR = {"r": [1, 1], "c": [1, 1]}
 INFEASIBLE = {"r": [2, 0], "c": [2, 0]}
 ZERO_VERTICES = {"r": [], "c": []}
+PERMUTATIONS_3 = {"r": [1, 1, 1], "c": [1, 1, 1]}
+
+
+def gnp_type(seed, n, rho, w=None):
+    """Degree pair of a seeded G(n, rho) graph, kept inside W when given."""
+    g = np.random.default_rng(seed).random((n, n)) < rho
+    if w is not None:
+        g &= w.adj.astype(bool)
+    return EdgeType(tuple(g.sum(axis=1).tolist()), tuple(g.sum(axis=0).tolist()), w)
+
+
+def first_difference(got: str, want: str):
+    """None when the texts are equal, else where they first differ (kept
+    short, since pytest's own diff of two multi-megabyte strings is slow)."""
+    if got == want:
+        return None
+    k = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return k, got[max(k - 20, 0) : k + 20], want[max(k - 20, 0) : k + 20]
+
+
+def restricted_type(seed):
+    """A type on a seeded W at n = 5 or 6 (70 % of the cells allowed)."""
+    n = 5 + seed % 2
+    w = DiGraph((np.random.default_rng(1000 + seed).random((n, n)) < 0.7).astype(int))
+    return gnp_type(seed, n, 0.5, w)
 
 
 class TestFeasible:
@@ -138,6 +171,12 @@ class TestEnumerate:
             [[1, 0], [0, 1]],
         ]
 
+    def test_negative_delta_exit_two(self, capsys, write_json):
+        code = main(["enumerate", "--type", write_json(REGULAR_PAIR), "--delta", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "delta must be nonnegative" in captured.err
+
     def test_delta_widens(self, capsys, write_json):
         path = write_json(REGULAR_PAIR)
         _, plain = run(capsys, "enumerate", "--type", path)
@@ -185,6 +224,74 @@ class TestMaxentAndBounds:
         # empty classes are reported as empty (exit 1), not as solver failures
         code, _ = run(capsys, "maxent", "--type", write_json(INFEASIBLE))
         assert code == 1
+
+
+class TestMatrixJson:
+    """`_matrix_json` must give the bytes of `json.dumps(p.tolist())`."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 200, 800])
+    def test_gnp_types(self, n):
+        f, _, _ = maxent.solve_maxent(gnp_type(n, n, 0.5))
+        assert first_difference(_matrix_json(f.p), json.dumps(f.p.tolist())) is None
+
+    @pytest.mark.parametrize("n", [7, 30, 120])
+    def test_unsorted_types(self, n):
+        t = gnp_type(n, n, 0.35)
+        order = np.random.default_rng(n).permutation(n)
+        t = EdgeType(tuple(np.array(t.r)[order].tolist()), t.c[::-1])
+        assert list(t.r) != sorted(t.r, reverse=True)
+        f, _, _ = maxent.solve_maxent(t)
+        assert first_difference(_matrix_json(f.p), json.dumps(f.p.tolist())) is None
+
+    def test_restricted_w_with_invariant_cells_inside_solver_groups(self):
+        split = 0
+        for seed in range(12):
+            t = restricted_type(seed)
+            f, _, _ = maxent.solve_maxent(t)
+            assert first_difference(_matrix_json(f.p), json.dumps(f.p.tolist())) is None
+            # rows the solver shares one variable for, but whose p rows differ
+            reduced = reduce_by_invariants(t, class_invariants(t))
+            row_of, _ = maxent._orbits(reduced.r, reduced.w.adj)
+            groups = {}
+            for i, k in enumerate(row_of.tolist()):
+                groups.setdefault(k, set()).add(f.p[i].tobytes())
+            split += any(len(rows) > 1 for rows in groups.values())
+        assert split > 0
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [[0.0]],
+            [[1.0]],
+            [[0.0, 1.0], [1.0, 0.0]],
+            [[0.5, 0.0, 0.5], [1.0, 1.0, 0.25], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 0.25]],
+            [[0.1, 0.2, 0.1, 0.3], [0.3, 0.2, 0.3, 0.1], [0.1, 0.2, 0.1, 0.3]],
+            [[-0.0, 0.0], [0.0, -0.0]],
+            [[5e-324, 1e-17, 1 - 2**-53], [1e-17, 5e-324, 0.1 + 0.2]],
+            [[float("nan"), float("inf")], [float("inf"), float("nan")]],
+        ],
+    )
+    def test_hand_made_matrices(self, p):
+        p = np.array(p)
+        assert first_difference(_matrix_json(p), json.dumps(p.tolist())) is None
+
+    @pytest.mark.parametrize("t", [gnp_type(40, 40, 0.5), restricted_type(0)], ids=["n40", "restricted"])
+    def test_maxent_stdout_is_sorted_json_dumps(self, capsys, write_json, t):
+        spec = {"r": list(t.r), "c": list(t.c), "w": {"n": t.n, "adj": t.w.tolist()}}
+        code, out = run(capsys, "maxent", "--type", write_json(spec))
+        f, v, report = maxent.solve_maxent(t)
+        expected = {
+            "p": f.p.tolist(),
+            "s": list(v.s),
+            "t": list(v.t),
+            "alpha": report.alpha,
+            "entropy_nats": report.entropy_nats,
+            "entropy_bits": report.entropy_nats / math.log(2),
+            "iterations": report.iterations,
+            "margins_residual": report.grad_norm,
+        }
+        assert code == 0
+        assert first_difference(out, json.dumps(expected, sort_keys=True) + "\n") is None
 
 
 class TestProbability:
@@ -261,6 +368,35 @@ class TestDeltaAndConditional:
         got = json.loads(out)
         assert got["count_delta"] == 2
         assert got["card_lower"] <= got["card_upper"]
+
+    def test_dens_zero_counts_the_plain_class(self, capsys, write_json):
+        # the delta-class admits degrees within delta * dens, so dens = 0 leaves the class itself
+        t = write_json(PERMUTATIONS_3)
+        code, out = run(capsys, "delta", "--type", t, "--delta", "10", "--dens", "0")
+        assert code == 0
+        got = json.loads(out)
+        assert got["count_delta"] == 6
+        assert got["card_lower"] <= math.log(6) / 9 <= got["card_upper"]
+        _, wide = run(capsys, "delta", "--type", t, "--delta", "10", "--dens", "1")
+        assert json.loads(wide)["count_delta"] == 512
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--delta", "1"],
+            ["delta", "--delta", "1"],
+            ["conditional", "--graph", {"n": 3, "adj": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+            ["cover", "--xi", "1/3"],
+            ["rd-bounds", "--xi", "1/3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_dens_exit_two(self, capsys, write_json, argv):
+        argv = [write_json(a) if isinstance(a, dict) else a for a in argv]
+        code = main([*argv, "--type", write_json(PERMUTATIONS_3), "--dens", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "dens must be nonnegative" in captured.err
 
     def test_conditional_remark_pair(self, capsys, write_json):
         t = write_json(REGULAR_PAIR)
@@ -356,6 +492,14 @@ class TestCoverAndRD:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "ceiling n=4" in captured.err
+
+    def test_rn_exact_params_dimension_mismatch_exit_two(self, capsys, write_json):
+        params = write_json({"a": [0, 0], "b": [0, 0]})
+        argv = ["rn-exact", "--type", write_json(PERMUTATIONS_3), "--params", params, "--d", "1/3"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "dimension mismatch" in captured.err
 
     def test_rn_exact_params_pinned_bytes(self, capsys, write_json):
         # n = 3 parameters drawn once with random.Random(7); the exact oracle must print these bytes
@@ -508,6 +652,15 @@ class TestDeterminism:
             assert code == 0
             outs.add(out)
         assert len(outs) == 1
+
+    def test_byte_identical_in_fresh_processes(self, write_json):
+        # n = 400 is where p's last digits once looked run-dependent; BLAS threads are left unpinned
+        t = gnp_type(400, 400, 0.5)
+        path = write_json({"r": list(t.r), "c": list(t.c)})
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(edgetype.__file__))}
+        argv = [sys.executable, "-m", "edgetype.cli", "maxent", "--type", path]
+        runs = [subprocess.run(argv, env=env, capture_output=True, check=True) for _ in range(2)]
+        assert runs[0].stdout == runs[1].stdout and runs[0].stdout.startswith(b'{"alpha": ')
 
     def test_out_file_matches_stdout(self, capsys, write_json, tmp_path):
         t = write_json(REGULAR_PAIR)
