@@ -127,6 +127,13 @@ def _dens(args, t: EdgeType) -> int:
     return t.density() if args.dens is None else args.dens
 
 
+def _delta(args) -> float:
+    """--delta, checked nonnegative together with rd-bounds' --delta-hat."""
+    if args.delta < 0 or getattr(args, "delta_hat", 0.0) < 0:
+        raise ValueError("delta must be nonnegative")
+    return args.delta
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations (each returns an exit code)
 # ---------------------------------------------------------------------------
@@ -207,11 +214,9 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     t = parse_type(_load_json(args.type))
-    dens = _dens(args, t)
-    if args.delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if args.delta:
-        stream = enumeration.enumerate_delta_class(t, args.delta, dens, limit=args.limit)
+    dens, delta = _dens(args, t), _delta(args)
+    if delta:
+        stream = enumeration.enumerate_delta_class(t, delta, dens, limit=args.limit)
     else:
         stream = enumeration.enumerate_class(t, limit=args.limit)
     _emit_lines((graph_json(g) for g in stream), args.out)
@@ -277,15 +282,15 @@ def cmd_sanov(args) -> int:
 
 def cmd_delta(args) -> int:
     t = parse_type(_load_json(args.type))
-    dens = _dens(args, t)
-    count = enumeration.count_delta_class(t, args.delta, dens, limit=args.limit)
+    dens, delta = _dens(args, t), _delta(args)
+    count = enumeration.count_delta_class(t, delta, dens, limit=args.limit)
     lo, hi = ratedistortion.delta_class_cardinality_bounds(
-        t, args.delta, dens, tol=args.tol, limit=args.limit
+        t, delta, dens, tol=args.tol, limit=args.limit
     )
     _emit(
         {
             "count_delta": count,
-            "prob_lower": probability.delta_class_prob_lower(t, args.delta, dens),
+            "prob_lower": probability.delta_class_prob_lower(t, delta, dens),
             "card_lower": lo,
             "card_upper": hi,
         },
@@ -298,7 +303,7 @@ def cmd_conditional(args) -> int:
     t = parse_type(_load_json(args.type))
     g = parse_graph(_load_json(args.graph), n=t.n)
     stream = enumeration.enumerate_conditional(
-        t, g, delta=args.delta, dens=_dens(args, t), limit=args.limit
+        t, g, delta=_delta(args), dens=_dens(args, t), limit=args.limit
     )
     _emit_lines((graph_json(h) for h in stream), args.out)
     return EXIT_OK
@@ -320,18 +325,18 @@ def cmd_distortion(args) -> int:
 
 def cmd_cover(args) -> int:
     t = parse_type(_load_json(args.type))
-    dens = _dens(args, t)
+    dens, delta = _dens(args, t), _delta(args)
     book = ratedistortion.build_cover_random(
         t,
         args.xi,
-        args.delta,
+        delta,
         m=args.m,
         seed=args.seed,
         dens=dens,
         tol=args.tol,
         limit=args.limit,
     )
-    thr = Fraction(args.xi) + Fraction(args.delta).limit_denominator(10**9) / t.n
+    thr = Fraction(args.xi) + Fraction(delta).limit_denominator(10**9) / t.n
     ok, worst, worst_v = ratedistortion.verify_cover(book, t, thr, limit=args.limit)
     _emit(
         {
@@ -351,7 +356,7 @@ def cmd_rd_bounds(args) -> int:
     t = parse_type(_load_json(args.type))
     dens = _dens(args, t)
     up, lo = ratedistortion.rd_bounds(
-        t, args.xi, args.delta, args.delta_hat, dens=dens, tol=args.tol, limit=args.limit
+        t, args.xi, _delta(args), args.delta_hat, dens=dens, tol=args.tol, limit=args.limit
     )
     def report_json(r):
         return {

@@ -27,6 +27,7 @@ from .typealg import (
     ComponentPartition,
     EdgeType,
     InvariantMasks,
+    _class_key,
     gale_ryser_feasible,
     invariant_positions,
     restriction_necessary,
@@ -350,9 +351,11 @@ def enumerate_delta_class(
 
 
 def count_delta_class(t: EdgeType, delta: float, dens: int, limit: int = DEFAULT_LIMIT) -> int:
-    """|T_δ(r, c, W)|: the class sizes summed over the admissible (r~, c~)."""
+    """|T_δ(r, c, W)|: the class sizes summed over the admissible (r~, c~),
+    each class up to relabelling counted once and weighted by its multiplicity."""
     _check_limit(t.n, limit)
-    return sum(count_class(tt, limit=limit) for tt in _delta_types(t, delta, dens))
+    classes = Counter(_class_key(tt) for tt in _delta_types(t, delta, dens))
+    return sum(k * count_class(tt, limit=limit) for tt, k in classes.items())
 
 
 def enumerate_conditional(

@@ -27,7 +27,7 @@ from .enumeration import class_nonempty, count_class, enumerate_class, enumerate
 from .graphs import DiGraph, DistortionValue, distortion
 from .maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
 from .probability import graph_prob
-from .typealg import EdgeType
+from .typealg import EdgeType, _class_key
 
 __all__ = [
     "Codebook",
@@ -156,13 +156,21 @@ def delta_class_cardinality_bounds(
 
 class _TypeTable:
     """Emptiness, entropy and measured counting gap of the types met by
-    one scan of Omega, each computed at most once.  Lives for one call,
-    so repeated commands repeat the work."""
+    one scan of Omega, each computed once per class up to relabelling, on
+    its representative `_class_key(tt)`: with W complete the results do not
+    depend on vertex labels.  Lives for one call, so repeated commands
+    repeat the work."""
 
     def __init__(self, tol: float | None, limit: int):
-        self.nonempty = functools.cache(lambda tt: class_nonempty(tt, limit=limit))
-        self.entropy = entropy = functools.cache(lambda tt: _entropy_of(tt, tol))
-        self.gap = functools.cache(lambda tt: _measured_gap(tt, entropy(tt), limit))
+        key = functools.cache(_class_key)
+
+        def by_class(fn):
+            fn = functools.cache(fn)
+            return lambda tt: fn(key(tt))
+
+        self.nonempty = by_class(lambda tt: class_nonempty(tt, limit=limit))
+        self.entropy = entropy = by_class(lambda tt: _entropy_of(tt, tol))
+        self.gap = by_class(lambda tt: _measured_gap(tt, entropy(tt), limit))
 
 
 def _covering_scan(t: EdgeType, xi, types: _TypeTable) -> tuple[float, float, bool, float]:

@@ -398,6 +398,25 @@ class TestDeltaAndConditional:
         assert code == 2 and captured.out == ""
         assert "dens must be nonnegative" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--delta", "-1"],
+            ["delta", "--delta", "-1"],
+            ["conditional", "--delta", "-1", "--graph", {"n": 3, "adj": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+            ["cover", "--delta", "-1", "--xi", "1/3"],
+            ["rd-bounds", "--delta", "-1", "--xi", "1/3"],
+            ["rd-bounds", "--delta-hat", "-1", "--xi", "1/3"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]).replace("--", ""),
+    )
+    def test_negative_delta_exit_two(self, capsys, write_json, argv):
+        argv = [write_json(a) if isinstance(a, dict) else a for a in argv]
+        code = main([*argv, "--type", write_json(PERMUTATIONS_3)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "delta must be nonnegative" in captured.err
+
     def test_conditional_remark_pair(self, capsys, write_json):
         t = write_json(REGULAR_PAIR)
         g = write_json({"n": 2, "adj": [[1, 1], [1, 0]]})

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from edgetype import enumeration
 from edgetype.enumeration import (
     EnumerationLimitError,
     class_invariants,
@@ -140,6 +141,25 @@ class TestCountDynamicProgram:
             for delta in (0.1, 0.25, 0.4, 0.5, 1.1, 2.0):
                 expected = len(set(enumerate_delta_class(t, delta, dens)))
                 assert count_delta_class(t, delta, dens) == expected, (t.r, t.c, delta)
+
+    def test_delta_count_counts_each_class_once(self, monkeypatch):
+        # with W complete, degree pairs equal up to relabelling share one count
+        def key(tt):
+            return tuple(sorted(tt.r)), tuple(sorted(tt.c))
+
+        t = EdgeType((4, 2, 1, 0), (2, 2, 2, 1))
+        pairs = list(enumeration._delta_types(t, 0.5, t.density()))
+        expected = sum(count_class(tt) for tt in pairs)
+        calls = []
+
+        def recorded(tt, *args, **kwargs):
+            calls.append(key(tt))
+            return count_class(tt, *args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "count_class", recorded)
+        assert count_delta_class(t, 0.5, t.density()) == expected
+        assert sorted(calls) == sorted({key(tt) for tt in pairs})
+        assert len(calls) < len(pairs)
 
 
 class TestInterchange:

@@ -293,7 +293,9 @@ class TestRDBoundsOnePass:
 
         def recorded(name, fn):
             def wrapper(tt, *args, **kwargs):
-                seen[name].append((tt.r, tt.c))
+                # with W complete a relabelled type is the same class
+                key = (tuple(sorted(tt.r)), tuple(sorted(tt.c))) if tt.unrestricted else (tt.r, tt.c)
+                seen[name].append(key)
                 return fn(tt, *args, **kwargs)
 
             return wrapper
@@ -303,6 +305,75 @@ class TestRDBoundsOnePass:
         rd_bounds(t, xi, 0.25, 0.2)
         for calls in seen.values():
             assert calls and len(calls) == len(set(calls))
+
+
+def scan_without_memo(t, xi):
+    """The upper and lower entropy terms and the density flag, solving
+    every type where the scan of Omega meets it."""
+    n, h = t.n, lambda tt: ratedistortion._entropy_of(tt, None)
+    upper, h_dist_max, density_ok = -math.inf, -math.inf, True
+    for d_r, d_c in omega_iter(xi, n):
+        d = EdgeType(d_r, d_c, t.w)
+        if not class_nonempty(d):
+            continue
+        h_dist_max = max(h_dist_max, h(d))
+        for v in sign_variants(t, d_r, d_c):
+            if class_nonempty(v):
+                density_ok &= v.density() == t.density()
+                upper = max(upper, (h(v) - h(d)) / n**2)
+    return upper, (h(t) - h_dist_max) / n**2, density_ok
+
+
+def relabelled(t, seed):
+    """t with its rows and its columns each put in a seeded random order."""
+    rng = random.Random(seed)
+    rows, cols = rng.sample(range(t.n), t.n), rng.sample(range(t.n), t.n)
+    return EdgeType(tuple(t.r[i] for i in rows), tuple(t.c[j] for j in cols))
+
+
+def seeded_types(n, count, w_density=1.0):
+    """Degree pairs of seeded random graphs inside a seeded random W,
+    which is complete at w_density 1."""
+    rng = np.random.default_rng(n)
+    types = []
+    for _ in range(count):
+        w = rng.random((n, n)) < w_density
+        g = w & (rng.random((n, n)) < rng.uniform(0.2, 0.8))
+        types.append(EdgeType.of_graph(DiGraph(g), DiGraph(w)))
+    return types
+
+
+RELABEL_CASES = [
+    (EdgeType((0, 2, 2), (0, 2, 2)), EdgeType((2, 2, 0), (2, 2, 0)), Fraction(1, 3)),
+    (EdgeType((2, 3, 3, 3), (1, 2, 4, 4)), EdgeType((3, 3, 3, 2), (4, 4, 2, 1)), Fraction(0)),
+    *((t, relabelled(t, k), xi) for k, t in enumerate(seeded_types(3, 4)) for xi in (0, Fraction(1, 3), Fraction(2, 3))),
+    *((t, relabelled(t, k), xi) for k, t in enumerate(seeded_types(4, 3)) for xi in (0, Fraction(1, 4))),
+]
+
+
+class TestRelabelledTypes:
+    """With W complete, the scan solves and counts one representative per
+    class up to relabelling, so the bounds depend only on the class."""
+
+    @pytest.mark.parametrize("t,u,xi", RELABEL_CASES)
+    def test_bounds_equal_under_relabelling(self, t, u, xi):
+        assert rd_bounds(t, xi, 0.25, 0.2) == rd_bounds(u, xi, 0.25, 0.2)
+
+    @pytest.mark.parametrize(
+        "t,xi",
+        [(t, xi) for t, _, xi in RELABEL_CASES]
+        + [TestRDBoundsOnePass.TYPES[2]]
+        + [(t, xi) for t in seeded_types(3, 4, w_density=0.75) for xi in (Fraction(1, 3), Fraction(2, 3))],
+    )
+    def test_scan_matches_unmemoized_oracle(self, t, xi):
+        up, lo = rd_bounds(t, xi, 0.25, 0.2)
+        upper, lower, density_ok = scan_without_memo(t, xi)
+        # a difference of equal entropies may cancel to an ulp: the absolute
+        # part is the same 1e-12 taken against per-cell entropies, which are <= ln 2
+        close = functools.partial(math.isclose, rel_tol=1e-12, abs_tol=1e-12)
+        assert close(up.slack_terms["entropy_difference"], upper)
+        assert close(lo.slack_terms["entropy_difference"], lower)
+        assert up.assumption_flags["density_preserved"] == density_ok
 
 
 THRESHOLDS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3)]
