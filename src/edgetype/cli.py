@@ -215,10 +215,7 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     t = parse_type(_load_json(args.type))
     dens, delta = _dens(args, t), _delta(args)
-    if delta:
-        stream = enumeration.enumerate_delta_class(t, delta, dens, limit=args.limit)
-    else:
-        stream = enumeration.enumerate_class(t, limit=args.limit)
+    stream = enumeration.enumerate_delta_class(t, delta, dens, limit=args.limit)
     _emit_lines((graph_json(g) for g in stream), args.out)
     return EXIT_OK
 
@@ -232,7 +229,7 @@ def cmd_interchange_check(args) -> int:
 
 def cmd_maxent(args) -> int:
     t = parse_type(_load_json(args.type))
-    f, v, report = maxent.solve_maxent(t, tol=args.tol)
+    f, v, report = maxent.solve_maxent(t, tol=args.tol, limit=args.limit)
     fields = {  # every key but p, which is encoded on its own
         "s": list(v.s),
         "t": list(v.t),
@@ -432,6 +429,21 @@ def cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The flags that several subcommands share, each declared once.  A subcommand
+# takes only the flags it reads, plus --out; add(..., flag={...}) changes a setting.
+_SHARED_FLAGS = {
+    "type": {"required": True, "help": "type-spec JSON file"},
+    "graph": {"required": True, "help": "graph JSON file"},
+    "graph2": {"required": True, "help": "second graph JSON file"},
+    "params": {"required": True, "help": "family params JSON file"},
+    "tol": {"type": float, "default": None},
+    "limit": {"type": int, "default": enumeration.DEFAULT_LIMIT},
+    "xi": {"required": True, "help": "distortion budget, e.g. 1/3"},
+    "delta": {"type": float, "default": 0.0},
+    "dens": {"type": int, "default": None},
+}
+
+
 @functools.cache  # built on the first call; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -440,58 +452,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **need):
+    def add(name, fn, *flags, **changed):
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
-        if need.get("type"):
-            sp.add_argument("--type", required=True, help="type-spec JSON file")
-        if need.get("graph"):
-            sp.add_argument("--graph", required=True, help="graph JSON file")
-        if need.get("graph2"):
-            sp.add_argument("--graph2", required=True, help="second graph JSON file")
-        if need.get("params"):
-            sp.add_argument(
-                "--params", required=need["params"] == "req", help="family params JSON file"
-            )
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--limit", type=int, default=enumeration.DEFAULT_LIMIT)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_SHARED_FLAGS[flag] | changed.get(flag, {}))
         sp.add_argument("--out", default=None)
         return sp
 
-    add("feasible", cmd_feasible, type=True)
-    add("normalize", cmd_normalize, type=True)
-    add("structure", cmd_structure, type=True)
-    add("invariants", cmd_invariants, type=True)
-    add("components", cmd_components, type=True)
-    add("count", cmd_count, type=True)
-    sp = add("enumerate", cmd_enumerate, type=True)
-    sp.add_argument("--delta", type=float, default=0.0)
-    sp.add_argument("--dens", type=int, default=None)
-    add("interchange-check", cmd_interchange_check, type=True)
-    add("maxent", cmd_maxent, type=True)
-    add("bounds", cmd_bounds, type=True)
-    add("prob", cmd_prob, type=True, params="req")
-    sp = add("sanov", cmd_sanov, params="req")
+    add("feasible", cmd_feasible, "type", "limit")
+    add("normalize", cmd_normalize, "type")
+    add("structure", cmd_structure, "type")
+    add("invariants", cmd_invariants, "type", "limit")
+    add("components", cmd_components, "type", "limit")
+    add("count", cmd_count, "type", "limit")
+    add("enumerate", cmd_enumerate, "type", "limit", "delta", "dens")
+    add("interchange-check", cmd_interchange_check, "type", "limit")
+    add("maxent", cmd_maxent, "type", "tol", "limit")
+    add("bounds", cmd_bounds, "type", "tol", "limit")
+    add("prob", cmd_prob, "type", "params", "tol", "limit")
+    sp = add("sanov", cmd_sanov, "params", "tol", "limit")
     sp.add_argument("--types", nargs="+", required=True, help="type-spec JSON files")
-    sp = add("delta", cmd_delta, type=True)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--dens", type=int, default=None)
-    sp = add("conditional", cmd_conditional, type=True, graph=True)
-    sp.add_argument("--delta", type=float, default=0.0)
-    sp.add_argument("--dens", type=int, default=None)
-    add("distortion", cmd_distortion, graph=True, graph2=True)
-    sp = add("cover", cmd_cover, type=True)
-    sp.add_argument("--xi", required=True, help="distortion budget, e.g. 1/3")
-    sp.add_argument("--delta", type=float, default=0.0)
-    sp.add_argument("--dens", type=int, default=None)
+    add("delta", cmd_delta, "type", "tol", "limit", "delta", "dens", delta={"required": True})
+    add("conditional", cmd_conditional, "type", "graph", "limit", "delta", "dens")
+    add("distortion", cmd_distortion, "graph", "graph2")
+    sp = add("cover", cmd_cover, "type", "tol", "limit", "xi", "delta", "dens")
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp = add("rd-bounds", cmd_rd_bounds, type=True)
-    sp.add_argument("--xi", required=True)
-    sp.add_argument("--delta", type=float, default=0.0)
+    sp = add("rd-bounds", cmd_rd_bounds, "type", "tol", "limit", "xi", "delta", "dens")
     sp.add_argument("--delta-hat", dest="delta_hat", type=float, default=0.0)
-    sp.add_argument("--dens", type=int, default=None)
-    sp = add("rn-exact", cmd_rn_exact, type=True, params="opt")
+    sp = add("rn-exact", cmd_rn_exact, "type", "params", "limit", params={"required": False})
     sp.add_argument("--d", required=True, help="distortion threshold, e.g. 1/3")
     sp.add_argument("--eps", type=float, default=0.0)
     sp.add_argument("--rn-limit", dest="rn_limit", type=int, default=3)

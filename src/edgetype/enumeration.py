@@ -372,12 +372,7 @@ def enumerate_conditional(
     """
     if not respects_restriction(g, t.w):
         raise ValueError("reference graph violates the restriction graph")
-    source = (
-        enumerate_class(t, limit=limit)
-        if delta == 0
-        else enumerate_delta_class(t, delta, dens, limit=limit)
-    )
-    for d in source:
+    for d in enumerate_delta_class(t, delta, dens, limit=limit):
         h = xor(g, d)
         if respects_restriction(h, t.w):
             yield h

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .enumeration import class_invariants, count_class
+from .enumeration import DEFAULT_LIMIT, class_invariants, count_class
 from .graphs import DiGraph
 from .typealg import EdgeType, reduce_by_invariants
 
@@ -261,7 +261,7 @@ def _newton_solve(
 
 
 def solve_maxent(
-    t: EdgeType, tol: float | None = None, init: DualVars | None = None
+    t: EdgeType, tol: float | None = None, init: DualVars | None = None, limit: int = DEFAULT_LIMIT
 ) -> tuple[ProductRandomGraph, DualVars, SolveReport]:
     """Maximum-entropy random graph of a nonempty class.
 
@@ -272,11 +272,12 @@ def solve_maxent(
     columns, so a minimizer constant on each such group exists
     (Chatterjee, Diaconis & Sly 2011); the dual is solved with one
     variable per group, and a given init is averaged over each group.
+    With W restricted, the invariant cells come from enumerating the class.
     """
     n = t.n
     if tol is None:
         tol = 1e-10 * max(n, 1)
-    masks = class_invariants(t)
+    masks = class_invariants(t, limit=limit)
     reduced = reduce_by_invariants(t, masks)
     w = reduced.w.adj
     row_of, row_rep = _orbits(reduced.r, w)
@@ -325,7 +326,7 @@ def barvinok_bounds(
 ) -> tuple[float, float | None, int | None]:
     """(alpha, gap, count): alpha(T) = e^{H(F_T)} plus, when the class is
     enumerable, its size and the measured counting gap."""
-    _, _, report = solve_maxent(t, tol=tol)
+    _, _, report = solve_maxent(t, tol=tol, limit=limit)
     if t.n > limit:
         return report.alpha, None, None
     count = count_class(t, limit=limit)

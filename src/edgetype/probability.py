@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import enumerate_class
+from .enumeration import DEFAULT_LIMIT, enumerate_class
 from .graphs import DiGraph
 from .maxent import ProductRandomGraph, solve_maxent
 from .typealg import EdgeType
@@ -168,11 +168,11 @@ def kl_sum(pt: ProductRandomGraph, f: ProductRandomGraph) -> float:
 
 
 def _solve_against(
-    params: FamilyDParams, t: EdgeType, tol: float | None
+    params: FamilyDParams, t: EdgeType, tol: float | None, limit: int = DEFAULT_LIMIT
 ) -> tuple[ProductRandomGraph, float, float]:
     """(family graph, H(F_T), sum of cellwise KL terms) from one dual solve."""
     f = family_d_graph(params)
-    ft, _, report = solve_maxent(t, tol=tol)
+    ft, _, report = solve_maxent(t, tol=tol, limit=limit)
     return f, report.entropy_nats, kl_sum(ft, f)
 
 
@@ -227,7 +227,7 @@ def typeclass_prob_bounds(
     measured stand-in for the quasi-polynomial factor; above the limit
     lower is None (the universal constant is unknown).
     """
-    f, h, kl = _solve_against(params, t, tol)
+    f, h, kl = _solve_against(params, t, tol, limit)
     return _prob_bounds(f, t, h, kl, limit)
 
 
@@ -236,7 +236,7 @@ def typeclass_prob(
 ) -> tuple[float, float | None, float, float | None]:
     """(point, lower, upper, exact): typeclass_point_prob followed by
     typeclass_prob_bounds, sharing one dual solve."""
-    f, h, kl = _solve_against(params, t, tol)
+    f, h, kl = _solve_against(params, t, tol, limit)
     return (_point_prob(h, kl), *_prob_bounds(f, t, h, kl, limit))
 
 
@@ -267,7 +267,7 @@ def sanov_bounds(
         if key in seen:
             continue
         seen.add(key)
-        ft, _, report = solve_maxent(t, tol=tol)
+        ft, _, report = solve_maxent(t, tol=tol, limit=limit)
         kl = kl_sum(ft, f)
         min_kl = min(min_kl, kl)
         if n <= limit:

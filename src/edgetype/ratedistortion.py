@@ -96,13 +96,13 @@ def omega_iter(xi, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def sign_variants(t: EdgeType, d_r: Sequence[int], d_c: Sequence[int]) -> list[EdgeType]:
-    """All types (r +/- d_r, c +/- d_c) with per-coordinate signs,
-    deduplicated and filtered to degrees in [0, n] with equal totals."""
+    """All types (r +/- d_r, c +/- d_c) with per-coordinate signs, each
+    once (a zero budget has one sign), filtered to degrees in [0, n] with
+    equal totals."""
     n = t.n
     r_opts = [sorted({t.r[i] + d_r[i], t.r[i] - d_r[i]}) for i in range(n)]
     c_opts = [sorted({t.c[j] + d_c[j], t.c[j] - d_c[j]}) for j in range(n)]
     out: list[EdgeType] = []
-    seen = set()
     for r in product(*r_opts):
         if any(v < 0 or v > n for v in r):
             continue
@@ -112,16 +112,12 @@ def sign_variants(t: EdgeType, d_r: Sequence[int], d_c: Sequence[int]) -> list[E
                 continue
             if sum(c) != sr:
                 continue
-            key = (r, c)
-            if key in seen:
-                continue
-            seen.add(key)
             out.append(EdgeType(r, c, t.w))
     return out
 
 
-def _entropy_of(t: EdgeType, tol: float | None) -> float:
-    _, _, report = solve_maxent(t, tol=tol)
+def _entropy_of(t: EdgeType, tol: float | None, limit: int = 6) -> float:
+    _, _, report = solve_maxent(t, tol=tol, limit=limit)
     return report.entropy_nats
 
 
@@ -146,7 +142,7 @@ def delta_class_cardinality_bounds(
     if not class_nonempty(t, limit=limit):
         raise ValueError("empty class")
     n = t.n
-    h = _entropy_of(t, tol)
+    h = _entropy_of(t, tol, limit)
     gap = _measured_gap(t, h, limit=limit)
     lnn = math.log(n) if n > 1 else 0.0
     lower = h / n**2 - gap * lnn / n
@@ -169,7 +165,7 @@ class _TypeTable:
             return lambda tt: fn(key(tt))
 
         self.nonempty = by_class(lambda tt: class_nonempty(tt, limit=limit))
-        self.entropy = entropy = by_class(lambda tt: _entropy_of(tt, tol))
+        self.entropy = entropy = by_class(lambda tt: _entropy_of(tt, tol, limit))
         self.gap = by_class(lambda tt: _measured_gap(tt, entropy(tt), limit))
 
 
@@ -207,18 +203,23 @@ def _covering_scan(t: EdgeType, xi, types: _TypeTable) -> tuple[float, float, bo
     return best, max_gap, density_ok, h_dist_max
 
 
+def _covering_terms(n: int, xi, delta: float, dens: int, gap: float) -> dict:
+    """The covering lemma's slack exponents in nats, in the lemma's order;
+    per cell (divided by n^2) they are the upper bound's slack terms."""
+    lnn = math.log(n) if n > 1 else 0.0
+    return {
+        "omega_count": (2.0 * float(_as_fraction(xi)) * n + 2.0) * lnn,
+        "delta_entropy": n**2 * binary_entropy(delta),
+        "delta_log_term": math.log(max(n * dens, 1)),
+        "counting_gap": gap * n * lnn,
+        "union_bound": n,
+    }
+
+
 def _upper_report(t: EdgeType, xi, delta: float, dens: int, scan) -> RDReport:
     n = t.n
     diff, gap, density_ok, _ = scan
-    xf = _as_fraction(xi)
-    lnn = math.log(n) if n > 1 else 0.0
-    slack = {
-        "omega_count": (2.0 * float(xf) * n + 2.0) * lnn / n**2,
-        "delta_entropy": binary_entropy(delta),
-        "delta_log_term": math.log(n * dens) / n**2,
-        "counting_gap": gap * lnn / n,
-        "union_bound": 1.0 / n,
-    }
+    slack = {k: v / n**2 for k, v in _covering_terms(n, xi, delta, dens, gap).items()}
     value = diff + sum(slack.values())
     return RDReport(
         kind="upper",
@@ -245,7 +246,7 @@ def _lower_report(
         "typicality_entropies": -(binary_entropy(delta_hat) + binary_entropy(delta)),
         "half_term": math.log(0.5) / n**2,
         "type_count": -(2.0 + gap) * math.log(n + 1) / n,
-        "density_log_terms": -2.0 * math.log(n * dens) / n**2,
+        "density_log_terms": -2.0 * math.log(max(n * dens, 1)) / n**2,
         "omega_count": -2.0 * (float(xf) * n + 1.0) * lnn / n**2,
     }
     raw = best + sum(slack.values())
@@ -268,9 +269,7 @@ def rd_upper(
     limit: int = 6,
 ) -> RDReport:
     """Achievability bound on R_n(Xi + delta/n) for the class of t."""
-    if dens is None:
-        dens = t.density()
-    return _upper_report(t, xi, delta, dens, _covering_scan(t, xi, _TypeTable(tol, limit)))
+    return rd_bounds(t, xi, delta, 0.0, dens, tol, limit)[0]
 
 
 def rd_lower(
@@ -324,21 +323,11 @@ def _cover_pool(t: EdgeType, xi, delta: float, dens: int, limit: int) -> list[Di
 def lemma_codebook_size(
     t: EdgeType, xi, delta: float, dens: int, tol: float | None = None, limit: int = 6
 ) -> float:
-    """The covering lemma's (deliberately loose) codebook size:
-    exp(max entropy difference + all slack terms + n)."""
+    """The covering lemma's (deliberately loose) codebook size: e to the
+    upper bound's exponent before its division by n^2."""
     n = t.n
     diff, gap, _, _ = _covering_scan(t, xi, _TypeTable(tol, limit))
-    xf = _as_fraction(xi)
-    lnn = math.log(n) if n > 1 else 0.0
-    exponent = (
-        diff * n**2
-        + (2.0 * float(xf) * n + 2.0) * lnn
-        + n**2 * binary_entropy(delta)
-        + math.log(n * dens)
-        + gap * n * lnn
-        + n
-    )
-    return math.exp(exponent)
+    return math.exp(sum(_covering_terms(n, xi, delta, dens, gap).values(), diff * n**2))
 
 
 def build_cover_random(

@@ -39,6 +39,8 @@ REGULAR_PAIR = {"r": [1, 1], "c": [1, 1]}
 INFEASIBLE = {"r": [2, 0], "c": [2, 0]}
 ZERO_VERTICES = {"r": [], "c": []}
 PERMUTATIONS_3 = {"r": [1, 1, 1], "c": [1, 1, 1]}
+# the 1854 derangements of 7 vertices: W = no loops, so the solve enumerates the class
+DERANGEMENTS_7 = {"r": [1] * 7, "c": [1] * 7, "w": {"n": 7, "adj": [[int(i != j) for j in range(7)] for i in range(7)]}}
 
 
 def gnp_type(seed, n, rho, w=None):
@@ -219,6 +221,20 @@ class TestMaxentAndBounds:
             assert len(got["p"]) == 60 and got["margins_residual"] <= 60e-10
         else:
             assert got["measured_gap"] is None
+
+    def test_limit_reaches_restricted_solve(self, capsys, write_json):
+        t = write_json(DERANGEMENTS_7)
+        code, out = run(capsys, "maxent", "--type", t, "--limit", "7")
+        assert code == 0 and len(json.loads(out)["p"]) == 7
+        code, out = run(capsys, "bounds", "--type", t, "--limit", "7")
+        assert code == 0 and json.loads(out)["count"] == 1854
+
+    @pytest.mark.parametrize("cmd", ["maxent", "bounds"])
+    def test_restricted_solve_above_default_limit_exit_four(self, capsys, write_json, cmd):
+        code = main([cmd, "--type", write_json(DERANGEMENTS_7)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "limit 6" in captured.err
 
     def test_nonconvergence_unreachable_on_feasible_small(self, capsys, write_json):
         # empty classes are reported as empty (exit 1), not as solver failures
@@ -416,6 +432,26 @@ class TestDeltaAndConditional:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "delta must be nonnegative" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rd-bounds", "--xi", "0"),
+            ("rd-bounds", "--xi", "1/3", "--delta", "0.5"),
+            ("cover", "--xi", "0"),
+            ("cover", "--xi", "1/3", "--delta", "0.5"),
+        ],
+    )
+    def test_dens_zero_bounds_and_cover(self, capsys, write_json, argv):
+        # ln max(n * dens, 1) keeps the log terms finite at dens = 0
+        code, out = run(capsys, *argv, "--type", write_json(PERMUTATIONS_3), "--dens", "0")
+        assert code == 0
+        got = json.loads(out)
+        if argv[0] == "rd-bounds":
+            assert got["upper"]["slack_terms"]["delta_log_term"] == 0.0
+            assert got["lower"]["slack_terms"]["density_log_terms"] == 0.0
+        else:
+            assert got["covers"]
 
     def test_conditional_remark_pair(self, capsys, write_json):
         t = write_json(REGULAR_PAIR)
@@ -654,12 +690,68 @@ class TestErrorHandling:
         assert code == 2 and captured.out == ""
         assert "n >= 1" in captured.err
 
-    @pytest.mark.parametrize("flag", [("--format", "csv"), ("--format", "json"), ("--jobs", "2")])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("count", "--format", "csv"),
+            ("count", "--format", "json"),
+            ("count", "--jobs", "2"),
+            ("normalize", "--tol", "1"),
+            ("count", "--tol", "1"),
+            ("distortion", "--limit", "3"),
+            ("verify-all", "--tol", "1"),
+        ],
+    )
     def test_removed_flags_rejected(self, capsys, write_json, flag):
+        cmd, *flag = flag
+        g = write_json({"n": 2, "adj": [[1, 1], [1, 0]]})
+        inputs = {"distortion": ["--graph", g, "--graph2", g], "verify-all": []}
         with pytest.raises(SystemExit) as exc:
-            main(["count", "--type", write_json(REGULAR_PAIR), *flag])
+            main([cmd, *inputs.get(cmd, ["--type", write_json(REGULAR_PAIR)]), *flag])
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+# The long options of each subcommand besides --out, which all of them take.
+LONG_OPTIONS = {
+    "feasible": {"type", "limit"},
+    "normalize": {"type"},
+    "structure": {"type"},
+    "invariants": {"type", "limit"},
+    "components": {"type", "limit"},
+    "count": {"type", "limit"},
+    "enumerate": {"type", "limit", "delta", "dens"},
+    "interchange-check": {"type", "limit"},
+    "maxent": {"type", "tol", "limit"},
+    "bounds": {"type", "tol", "limit"},
+    "prob": {"type", "params", "tol", "limit"},
+    "sanov": {"params", "types", "tol", "limit"},
+    "delta": {"type", "tol", "limit", "delta", "dens"},
+    "conditional": {"type", "graph", "limit", "delta", "dens"},
+    "distortion": {"graph", "graph2"},
+    "cover": {"type", "tol", "limit", "xi", "delta", "dens", "m", "seed"},
+    "rd-bounds": {"type", "tol", "limit", "xi", "delta", "delta-hat", "dens"},
+    "rn-exact": {"type", "params", "limit", "d", "eps", "rn-limit"},
+    "verify-all": {"n"},
+}
+
+
+class TestFlags:
+    """Each subcommand takes exactly the flags it reads."""
+
+    @staticmethod
+    def subcommands():
+        return next(a for a in _build_parser()._actions if a.dest == "command").choices
+
+    @pytest.mark.parametrize("name", LONG_OPTIONS)
+    def test_long_options(self, name):
+        actions = self.subcommands()[name]._actions
+        got = {s[2:] for a in actions for s in a.option_strings if s.startswith("--")}
+        assert got == LONG_OPTIONS[name] | {"out", "help"}
+
+    def test_every_subcommand_listed(self):
+        assert set(self.subcommands()) == set(LONG_OPTIONS)
 
 
 class TestDeterminism:

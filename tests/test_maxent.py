@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from edgetype import probability, ratedistortion
 from edgetype.enumeration import (
+    EnumerationLimitError,
     class_invariants,
     count_class,
     enumerate_class,
@@ -306,6 +308,37 @@ class TestBarvinokBounds:
                 continue
             _, _, report = solve_maxent(EdgeType(r, c))
             assert len(bits) <= report.alpha * (1 + 1e-6), (r, c)
+
+
+# r = c = (1,) * 7 with W = no loops: the 1854 derangements of 7 vertices
+DERANGEMENTS_7 = EdgeType((1,) * 7, (1,) * 7, DiGraph([[int(i != j) for j in range(7)] for i in range(7)]))
+UNIFORM_7 = probability.FamilyDParams(a=(0.0,) * 7, b=(0.0,) * 7, w=DERANGEMENTS_7.w)
+LIMITED_CALLS = {
+    "solve_maxent": solve_maxent,
+    "barvinok_bounds": barvinok_bounds,
+    "typeclass_prob": lambda t, **kw: probability.typeclass_prob(UNIFORM_7, t, **kw),
+    "typeclass_prob_bounds": lambda t, **kw: probability.typeclass_prob_bounds(UNIFORM_7, t, **kw),
+    "sanov_bounds": lambda t, **kw: probability.sanov_bounds(UNIFORM_7, [t], **kw),
+    "delta_class_cardinality_bounds": lambda t, **kw: ratedistortion.delta_class_cardinality_bounds(
+        t, 0.5, 1, **kw
+    ),
+    "rd_bounds": lambda t, **kw: ratedistortion.rd_bounds(t, 0, 0.0, 0.2, **kw),
+}
+
+
+class TestRestrictedSolveLimit:
+    """With W restricted the solve enumerates the class for its invariant
+    cells, so a caller's `limit` must reach it."""
+
+    @pytest.mark.parametrize("name", LIMITED_CALLS)
+    def test_limit_reaches_the_solve(self, name):
+        with pytest.raises(EnumerationLimitError, match="limit 6"):
+            LIMITED_CALLS[name](DERANGEMENTS_7)
+        LIMITED_CALLS[name](DERANGEMENTS_7, limit=7)
+
+    def test_count_within_raised_limit(self):
+        _, gap, count = barvinok_bounds(DERANGEMENTS_7, limit=7)
+        assert count == 1854 and gap > 0
 
 
 class TestPolytopeMembership:

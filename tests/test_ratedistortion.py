@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,6 +26,18 @@ from edgetype.ratedistortion import (
     verify_cover,
 )
 from edgetype.typealg import EdgeType
+
+
+def seeded_types(n, count, w_density=1.0):
+    """Degree pairs of seeded random graphs inside a seeded random W,
+    which is complete at w_density 1."""
+    rng = np.random.default_rng(n)
+    types = []
+    for _ in range(count):
+        w = rng.random((n, n)) < w_density
+        g = w & (rng.random((n, n)) < rng.uniform(0.2, 0.8))
+        types.append(EdgeType.of_graph(DiGraph(g), DiGraph(w)))
+    return types
 
 
 class TestOmega:
@@ -66,6 +79,21 @@ class TestSignVariants:
         t = EdgeType((1, 1, 1), (1, 1, 1))
         vs = sign_variants(t, (1, 1, 1), (1, 1, 1))
         assert 0 < len(vs) <= 2 ** (2 * 3)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_each_variant_once(self, k):
+        # zero budgets collapse the two signs of a coordinate into one
+        t = seeded_types(3 + k % 2, 8)[k]
+        rng = random.Random(k)
+        d_r, d_c = ([rng.randint(0, 2) for _ in range(t.n)] for _ in "rc")
+        want = set()
+        for signs in product((1, -1), repeat=2 * t.n):
+            r = tuple(x + s * d for x, s, d in zip(t.r, signs[: t.n], d_r))
+            c = tuple(x + s * d for x, s, d in zip(t.c, signs[t.n :], d_c))
+            if all(0 <= v <= t.n for v in r + c) and sum(r) == sum(c):
+                want.add((r, c))
+        got = [(v.r, v.c) for v in sign_variants(t, d_r, d_c)]
+        assert len(got) == len(set(got)) and set(got) == want
 
     def test_out_of_range_dropped(self):
         t = EdgeType((2, 2), (2, 2))
@@ -174,6 +202,24 @@ class TestCoveringBound:
     def test_lemma_size_at_least_one(self):
         t = EdgeType((1, 1), (1, 1))
         assert lemma_codebook_size(t, 0, 0.0, 1) >= 1.0
+
+    @pytest.mark.parametrize("delta", [0.0, 0.25])
+    @pytest.mark.parametrize("xi", [Fraction(0), Fraction(1, 3)])
+    @pytest.mark.parametrize("t", seeded_types(2, 3) + seeded_types(3, 3))
+    def test_lemma_size_keeps_the_lemma_summation_order(self, t, xi, delta):
+        # cover's m_target is ceil of this value, so it must not move by an ulp
+        n, dens = t.n, t.density()
+        diff, gap, _, _ = ratedistortion._covering_scan(t, xi, ratedistortion._TypeTable(None, 6))
+        lnn = math.log(n) if n > 1 else 0.0
+        exponent = (
+            diff * n**2
+            + (2.0 * float(xi) * n + 2.0) * lnn
+            + n**2 * binary_entropy(delta)
+            + math.log(n * dens)
+            + gap * n * lnn
+            + n
+        )
+        assert lemma_codebook_size(t, xi, delta, dens) == math.exp(exponent)
 
 
 class TestBuildCover:
@@ -329,18 +375,6 @@ def relabelled(t, seed):
     rng = random.Random(seed)
     rows, cols = rng.sample(range(t.n), t.n), rng.sample(range(t.n), t.n)
     return EdgeType(tuple(t.r[i] for i in rows), tuple(t.c[j] for j in cols))
-
-
-def seeded_types(n, count, w_density=1.0):
-    """Degree pairs of seeded random graphs inside a seeded random W,
-    which is complete at w_density 1."""
-    rng = np.random.default_rng(n)
-    types = []
-    for _ in range(count):
-        w = rng.random((n, n)) < w_density
-        g = w & (rng.random((n, n)) < rng.uniform(0.2, 0.8))
-        types.append(EdgeType.of_graph(DiGraph(g), DiGraph(w)))
-    return types
 
 
 RELABEL_CASES = [
