@@ -392,38 +392,6 @@ def cmd_rn_exact(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_all(args) -> int:
-    """Reduced in-process acceptance sweep at the given n; exits nonzero
-    on any violation."""
-    n = args.n
-    failures: list[str] = []
-    buckets = enumeration.partition_by_type(n, limit=max(4, n))
-    total = sum(len(v) for v in buckets.values())
-    if total != 1 << (n * n):
-        failures.append("partition: buckets do not cover graph space")
-    for (r, c), members in sorted(buckets.items()):
-        t = EdgeType(r, c)
-        if typealg.gale_ryser_feasible(r, c) != (len(members) > 0):
-            failures.append(f"feasibility mismatch at {r},{c}")
-        if not members:
-            continue
-        if enumeration.count_class(t, limit=n) != len(members):
-            failures.append(f"count mismatch at {r},{c}")
-        _, _, report = maxent.solve_maxent(t)
-        if len(members) > report.alpha * (1 + 1e-6):
-            failures.append(f"Barvinok upper bound violated at {r},{c}")
-        if not enumeration.interchange_connected(t, limit=n):
-            failures.append(f"interchange graph disconnected at {r},{c}")
-        tn, _, _ = typealg.normalize(t)
-        m_struct = typealg.invariant_positions(tn)
-        m_enum = enumeration.invariants_by_enumeration(tn, limit=n)
-        if m_struct.inv1 != m_enum.inv1 or m_struct.inv0 != m_enum.inv0:
-            failures.append(f"invariant masks disagree at {r},{c}")
-    result = {"n": n, "types_checked": len(buckets), "failures": failures}
-    _emit(result, args.out)
-    return EXIT_OK if not failures else EXIT_EMPTY
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
@@ -485,8 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", required=True, help="distortion threshold, e.g. 1/3")
     sp.add_argument("--eps", type=float, default=0.0)
     sp.add_argument("--rn-limit", dest="rn_limit", type=int, default=3)
-    sp = add("verify-all", cmd_verify_all)
-    sp.add_argument("--n", type=int, default=3)
     return p
 
 

@@ -3,13 +3,16 @@
 Everything here is ground truth: class enumeration by backtracking,
 class counting by an exact dynamic program over column classes (no
 member is visited), interchange walks, δ and conditional classes, and
-invariants/components recomputed directly from the member list.  These
+invariants/components recomputed directly from the members.  These
 oracles validate the closed-form machinery in edgetype.typealg and the
 analytic bounds elsewhere.  Both enumeration and counting refuse n above
 the limit (DEFAULT_LIMIT unless given).
 
-Graphs are handled internally as row-major integer bitmasks (bit k is
-cell (k // n, k % n)) for speed; the public API speaks DiGraph.
+Inside this module a class member is an int throughout: a row-major
+bitmask, bit k being cell (k // n, k % n).  The invariant masks are the
+AND and the NOR of the members, the components are read off those two
+masks, and interchange walks flip bits.  A DiGraph is built only for a
+graph the public API hands out.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from itertools import accumulate, combinations, product
 from math import comb
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .graphs import DiGraph, respects_restriction, xor
+from .graphs import DiGraph, respects_restriction
 from .typealg import (
     ComponentPartition,
     EdgeType,
@@ -138,12 +139,16 @@ def _enumerate_bits(
     yield from search(0)
 
 
+def _members(t: EdgeType, limit: int) -> Iterator[int]:
+    """The members of T(r, c, W) as bitmasks, in enumeration order."""
+    _check_limit(t.n, limit)
+    yield from _enumerate_bits(t.r, t.c, _graph_rows(t.w), t.n)
+
+
 def enumerate_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> Iterator[DiGraph]:
     """All members of T(r, c, W), each exactly once, in deterministic
     row-major lexicographic order."""
-    _check_limit(t.n, limit)
-    w_rows = _graph_rows(t.w)
-    for bits in _enumerate_bits(t.r, t.c, w_rows, t.n):
+    for bits in _members(t, limit):
         yield DiGraph.from_bits(t.n, bits)
 
 
@@ -221,7 +226,7 @@ def class_nonempty(t: EdgeType, limit: int = DEFAULT_LIMIT) -> bool:
     and a search for one member settles the rest."""
     if not restriction_necessary(t):
         return False
-    return t.unrestricted or next(enumerate_class(t, limit=limit), None) is not None
+    return t.unrestricted or next(_members(t, limit), None) is not None
 
 
 def class_invariants(t: EdgeType, limit: int = DEFAULT_LIMIT) -> InvariantMasks:
@@ -271,40 +276,38 @@ def interchange_neighbors(g: DiGraph, w: DiGraph) -> list[DiGraph]:
     An interchange swaps a 2x2 submatrix between the patterns
     [[1,0],[0,1]] and [[0,1],[1,0]]; it preserves both degree vectors.
     """
-    n = g.n
-    a = g.adj
-    out = []
+    return [DiGraph.from_bits(g.n, h) for h in _interchanges(g.to_bits(), _graph_rows(w), g.n)]
+
+
+def _interchanges(bits: int, w_rows: Sequence[int], n: int) -> Iterator[int]:
+    """The bitmasks one W-respecting interchange away from `bits`, by row
+    pair (i1, i2) and then column pair (j1, j2)."""
+    full = (1 << n) - 1
+    rows = [(bits >> (i * n)) & full for i in range(n)]
     for i1, i2 in combinations(range(n), 2):
+        # columns whose one may move from row i1 to row i2, and back
+        down = rows[i1] & ~rows[i2] & w_rows[i2]
+        up = rows[i2] & ~rows[i1] & w_rows[i1]
+        if not (down and up):
+            continue
         for j1, j2 in combinations(range(n), 2):
-            q = (a[i1, j1], a[i1, j2], a[i2, j1], a[i2, j2])
-            if q == (1, 0, 0, 1):
-                if w.adj[i1, j2] and w.adj[i2, j1]:
-                    out.append(_swapped(g, i1, i2, j1, j2))
-            elif q == (0, 1, 1, 0):
-                if w.adj[i1, j1] and w.adj[i2, j2]:
-                    out.append(_swapped(g, i1, i2, j1, j2))
-    return out
-
-
-def _swapped(g: DiGraph, i1: int, i2: int, j1: int, j2: int) -> DiGraph:
-    b = g.adj.copy()
-    for i, j in ((i1, j1), (i1, j2), (i2, j1), (i2, j2)):
-        b[i, j] ^= 1
-    return DiGraph(b)
+            if ((down >> j1) & (up >> j2) | (up >> j1) & (down >> j2)) & 1:
+                yield bits ^ ((1 << j1 | 1 << j2) * (1 << i1 * n | 1 << i2 * n))
 
 
 def interchange_reach(t: EdgeType, limit: int = DEFAULT_LIMIT) -> tuple[int, int]:
     """BFS over single interchanges from the first member.  Returns
     (members reached, class size); the walk is connected iff they agree."""
-    members = list(enumerate_class(t, limit=limit))
+    members = list(_members(t, limit))
     if not members:
         raise ValueError("empty class has no interchange graph")
+    w_rows = _graph_rows(t.w)
     seen = {members[0]}
     frontier = [members[0]]
     while frontier:
         nxt = []
         for g in frontier:
-            for h in interchange_neighbors(g, t.w):
+            for h in _interchanges(g, w_rows, t.n):
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
@@ -340,14 +343,20 @@ def _delta_types(t: EdgeType, delta: float, dens: int) -> Iterator[EdgeType]:
                 yield EdgeType(r_tilde, c_tilde, t.w)
 
 
+def _delta_members(t: EdgeType, delta: float, dens: int, limit: int) -> Iterator[int]:
+    """The members of the δ-class as bitmasks, in enumerate_delta_class order."""
+    _check_limit(t.n, limit)
+    for tt in _delta_types(t, delta, dens):
+        yield from _members(tt, limit)
+
+
 def enumerate_delta_class(
     t: EdgeType, delta: float, dens: int, limit: int = DEFAULT_LIMIT
 ) -> Iterator[DiGraph]:
     """Disjoint union over all admissible (r~, c~) of their classes under W,
     in lexicographic order of (r~, c~) then class order."""
-    _check_limit(t.n, limit)
-    for tt in _delta_types(t, delta, dens):
-        yield from enumerate_class(tt, limit=limit)
+    for bits in _delta_members(t, delta, dens, limit):
+        yield DiGraph.from_bits(t.n, bits)
 
 
 def count_delta_class(t: EdgeType, delta: float, dens: int, limit: int = DEFAULT_LIMIT) -> int:
@@ -372,62 +381,50 @@ def enumerate_conditional(
     """
     if not respects_restriction(g, t.w):
         raise ValueError("reference graph violates the restriction graph")
-    for d in enumerate_delta_class(t, delta, dens, limit=limit):
-        h = xor(g, d)
-        if respects_restriction(h, t.w):
-            yield h
+    g_bits, w_bits = g.to_bits(), t.w.to_bits()
+    for d in _delta_members(t, delta, dens, limit):
+        h = g_bits ^ d
+        if h & ~w_bits == 0:
+            yield DiGraph.from_bits(t.n, h)
 
 
 def invariants_by_enumeration(t: EdgeType, limit: int = DEFAULT_LIMIT) -> InvariantMasks:
-    """Invariant 1-/0-positions by intersecting all class members."""
-    return _intersect(list(enumerate_class(t, limit=limit)))
-
-
-def _intersect(members: list[DiGraph]) -> InvariantMasks:
-    if not members:
+    """Invariant 1-/0-positions: the cells on which all class members agree."""
+    members = _members(t, limit)
+    first = next(members, None)
+    if first is None:
         raise ValueError("empty class has no invariant positions")
-    inv1 = members[0].adj.copy()
-    inv0 = 1 - members[0].adj
-    for m in members[1:]:
-        inv1 &= m.adj
-        inv0 &= 1 - m.adj
-    free = (1 - inv1 - inv0).astype(np.uint8)
-    return InvariantMasks(inv1=DiGraph(inv1), inv0=DiGraph(inv0), free=DiGraph(free))
+    inv1 = union = first
+    for bits in members:
+        inv1 &= bits
+        union |= bits
+    n = t.n
+    inv0 = ((1 << n * n) - 1) & ~union
+    return InvariantMasks(*(DiGraph.from_bits(n, m) for m in (inv1, inv0, union & ~inv1)))
 
 
 def components_by_enumeration(t: EdgeType, limit: int = DEFAULT_LIMIT) -> ComponentPartition:
-    """Component partition recomputed from the member list.
+    """Component partition recomputed from the class members.
 
     An invariance corner (e, f) is a cut pair where every member has an
-    all-ones top-left e x f block and an all-zeros bottom-right block; the
-    distinct interior corner coordinates cut [n] into the row and column
-    blocks, and a block is trivial when all its cells are invariant across
-    members.  For normalized unrestricted types this matches the zero
-    cells of the structure matrix.
+    all-ones top-left e x f block and an all-zeros bottom-right block,
+    that is where the first block lies in the invariant 1-cells and the
+    second in the invariant 0-cells; the distinct interior corner
+    coordinates cut [n] into the row and column blocks, and a block is
+    trivial when all its cells are invariant.  For normalized unrestricted
+    types this matches the zero cells of the structure matrix.
     """
-    members = list(enumerate_class(t, limit=limit))
-    if not members:
-        raise ValueError("empty class has no components")
+    masks = invariants_by_enumeration(t, limit=limit)
     n = t.n
-    # 2D prefix sums per member make each corner check O(1):
-    # top-left all ones  <=> prefix[e][f] == e*f
-    # bottom-right all zeros <=> total - row strip - col strip + prefix == 0
-    prefixes = []
-    for m in members:
-        p = np.zeros((n + 1, n + 1), dtype=np.int64)
-        p[1:, 1:] = m.adj.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
-        prefixes.append(p)
-    corners = []
-    for e in range(n + 1):
-        for f in range(n + 1):
-            if all(
-                p[e, f] == e * f
-                and p[n, n] - p[e, n] - p[n, f] + p[e, f] == 0
-                for p in prefixes
-            ):
-                corners.append((e, f))
+    inv1, inv0 = masks.inv1.adj, masks.inv0.adj
+    corners = [
+        (e, f)
+        for e in range(n + 1)
+        for f in range(n + 1)
+        if inv1[:e, :f].all() and inv0[e:, f:].all()
+    ]
     return ComponentPartition.from_cuts(
         sorted({e for e, _ in corners if 0 < e < n}),
         sorted({f for _, f in corners if 0 < f < n}),
-        _intersect(members).free.adj,
+        masks.free.adj,
     )

@@ -185,6 +185,17 @@ def _point_prob(h: float, kl: float) -> float:
     return math.exp(-h - kl)
 
 
+def _class_mass(
+    f: ProductRandomGraph, t: EdgeType, limit: int, exact: float = 0.0
+) -> tuple[int, float]:
+    """(|T|, exact + Pr(F = g) added up over the members g in class order)."""
+    count = 0
+    for g in enumerate_class(t, limit=limit):
+        exact += graph_prob(f, g)
+        count += 1
+    return count, exact
+
+
 def _prob_bounds(
     f: ProductRandomGraph, t: EdgeType, h: float, kl: float, limit: int
 ) -> tuple[float | None, float, float | None]:
@@ -193,17 +204,13 @@ def _prob_bounds(
     upper = math.exp(-kl)
     if t.n > limit:
         return None, upper, None
-    count = 0
-    exact = 0.0
-    for g in enumerate_class(t, limit=limit):
-        exact += graph_prob(f, g)
-        count += 1
+    count, exact = _class_mass(f, t, limit)
     lower = math.exp(-kl + math.log(count) - h) if count else 0.0
     return lower, upper, exact
 
 
 def typeclass_point_prob(
-    params: FamilyDParams, t: EdgeType, tol: float | None = None
+    params: FamilyDParams, t: EdgeType, tol: float | None = None, limit: int = DEFAULT_LIMIT
 ) -> float:
     """Common probability of every member of T(r,c,W) under the family
     graph: exp(-H(F_T) - sum of cellwise KL terms).
@@ -211,9 +218,10 @@ def typeclass_point_prob(
     Forced cells of the family graph that coincide with the class's
     invariant cells contribute zero KL (the fold-into-W reduction);
     anywhere else they make the class probability non-constant and an
-    error is raised.
+    error is raised.  With W restricted, `limit` bounds the solve's
+    enumeration of the class.
     """
-    _, h, kl = _solve_against(params, t, tol)
+    _, h, kl = _solve_against(params, t, tol, limit)
     return _point_prob(h, kl)
 
 
@@ -271,10 +279,7 @@ def sanov_bounds(
         kl = kl_sum(ft, f)
         min_kl = min(min_kl, kl)
         if n <= limit:
-            count = 0
-            for g in enumerate_class(t, limit=limit):
-                exact += graph_prob(f, g)
-                count += 1
+            count, exact = _class_mass(f, t, limit, exact)
             if count == 0:
                 raise ValueError("empty type in collection")
             gap = max(0.0, report.entropy_nats - math.log(count))
@@ -352,13 +357,13 @@ def decompose_single_edge(p: ProductRandomGraph) -> MixtureDecomposition:
 
 
 def mixture_lower_bound(
-    mix: MixtureDecomposition, t: EdgeType, tol: float | None = None
+    mix: MixtureDecomposition, t: EdgeType, tol: float | None = None, limit: int = DEFAULT_LIMIT
 ) -> float:
     """exp(-H(F_T) - sum_k lambda_k * KL_k): a lower bound on the point
     probability of any class member under the mixed product graph.  An
     atom violating absolute continuity drives its KL term to +inf and the
     bound collapses to 0 (still valid, just vacuous)."""
-    ft, _, report = solve_maxent(t, tol=tol)
+    ft, _, report = solve_maxent(t, tol=tol, limit=limit)
     exponent = report.entropy_nats
     for lam, atom in zip(mix.weights, mix.atoms):
         kl = kl_sum(ft, family_d_graph(atom))

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .enumeration import class_nonempty, count_class, enumerate_class, enumerate_delta_class
+from .enumeration import _delta_members, class_nonempty, count_class, enumerate_class
 from .graphs import DiGraph, DistortionValue, distortion
 from .maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
 from .probability import graph_prob
@@ -304,20 +304,15 @@ def rd_bounds(
     return upper, _lower_report(t, xi, delta, delta_hat, dens, types, scan[3])
 
 
-def _cover_pool(t: EdgeType, xi, delta: float, dens: int, limit: int) -> list[DiGraph]:
+def _cover_pool(t: EdgeType, xi, delta: float, dens: int, limit: int) -> list[int]:
     """Union over distortion budgets of the δ-classes of all sign
-    variants, deduplicated, in deterministic order."""
-    seen: set[int] = set()
-    pool: list[DiGraph] = []
-    for d_r, d_c in omega_iter(xi, t.n):
-        for variant in sign_variants(t, d_r, d_c):
-            for g in enumerate_delta_class(variant, delta, dens, limit=limit):
-                b = g.to_bits()
-                if b not in seen:
-                    seen.add(b)
-                    pool.append(g)
-    pool.sort(key=DiGraph.to_bits)
-    return pool
+    variants, as sorted distinct bitmasks."""
+    return sorted({
+        bits
+        for d_r, d_c in omega_iter(xi, t.n)
+        for variant in sign_variants(t, d_r, d_c)
+        for bits in _delta_members(variant, delta, dens, limit)
+    })
 
 
 def lemma_codebook_size(
@@ -354,23 +349,15 @@ def build_cover_random(
         m_target = math.ceil(lemma_codebook_size(t, xi, delta, dens, tol, limit))
     if m_target >= POOL_DRAW_CAP or m_target >= len(pool) * 64:
         return Codebook(
-            graphs=tuple(pool),
+            graphs=tuple(DiGraph.from_bits(t.n, bits) for bits in pool),
             seed=None,
             m_target=m_target,
             provenance=f"exhaustive pool of {len(pool)} (target M {m_target} saturates it)",
         )
     rng = random.Random(seed)
-    chosen_bits: set[int] = set()
-    chosen: list[DiGraph] = []
-    for _ in range(m_target):
-        g = pool[rng.randrange(len(pool))]
-        b = g.to_bits()
-        if b not in chosen_bits:
-            chosen_bits.add(b)
-            chosen.append(g)
-    chosen.sort(key=DiGraph.to_bits)
+    chosen = sorted({pool[rng.randrange(len(pool))] for _ in range(m_target)})
     return Codebook(
-        graphs=tuple(chosen),
+        graphs=tuple(DiGraph.from_bits(t.n, bits) for bits in chosen),
         seed=seed,
         m_target=m_target,
         provenance=f"{m_target} uniform draws from pool of {len(pool)}, seed {seed}",

@@ -631,14 +631,6 @@ class TestParserReuse:
         assert _build_parser() is main_parser
 
 
-class TestVerifyAll:
-    def test_sweep_n2_clean(self, capsys):
-        code, out = run(capsys, "verify-all", "--n", "2")
-        assert code == 0
-        got = json.loads(out)
-        assert got["failures"] == [] and got["n"] == 2
-
-
 class TestErrorHandling:
     def test_malformed_json_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -699,13 +691,12 @@ class TestErrorHandling:
             ("normalize", "--tol", "1"),
             ("count", "--tol", "1"),
             ("distortion", "--limit", "3"),
-            ("verify-all", "--tol", "1"),
         ],
     )
     def test_removed_flags_rejected(self, capsys, write_json, flag):
         cmd, *flag = flag
         g = write_json({"n": 2, "adj": [[1, 1], [1, 0]]})
-        inputs = {"distortion": ["--graph", g, "--graph2", g], "verify-all": []}
+        inputs = {"distortion": ["--graph", g, "--graph2", g]}
         with pytest.raises(SystemExit) as exc:
             main([cmd, *inputs.get(cmd, ["--type", write_json(REGULAR_PAIR)]), *flag])
         assert exc.value.code == 2
@@ -733,7 +724,6 @@ LONG_OPTIONS = {
     "cover": {"type", "tol", "limit", "xi", "delta", "dens", "m", "seed"},
     "rd-bounds": {"type", "tol", "limit", "xi", "delta", "delta-hat", "dens"},
     "rn-exact": {"type", "params", "limit", "d", "eps", "rn-limit"},
-    "verify-all": {"n"},
 }
 
 

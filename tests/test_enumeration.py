@@ -22,7 +22,9 @@ from edgetype.enumeration import (
 )
 from edgetype.graphs import DiGraph, respects_restriction
 from edgetype.typealg import (
+    ComponentPartition,
     EdgeType,
+    InvariantMasks,
     components_from_structure,
     gale_ryser_feasible,
     invariant_positions,
@@ -349,3 +351,97 @@ class TestClassDispatch:
         w = DiGraph([[1] * 7] * 6 + [[0] * 7])
         with pytest.raises(EnumerationLimitError):
             class_nonempty(EdgeType((1,) * 6 + (0,), (1,) * 6 + (0,), w))
+
+
+def seeded_types(n, count=8):
+    """Nonempty classes at n: the types of seeded random graphs, each under
+    W complete and under a seeded W that contains the graph and about
+    three quarters of the other cells."""
+    rng = random.Random(f"seeded-types:{n}")
+    for _ in range(count):
+        g = DiGraph.from_bits(n, rng.getrandbits(n * n))
+        w = DiGraph.from_bits(n, g.to_bits() | rng.getrandbits(n * n) | rng.getrandbits(n * n))
+        yield EdgeType.of_graph(g)
+        yield EdgeType.of_graph(g, w)
+
+
+def brute_force_interchanges(g, t):
+    """The members h of g's class for which g xor h is exactly a 2 x 2
+    rectangle, ordered by its row pair and then its column pair."""
+    found = []
+    for h in enumerate_class(t):
+        d = g.adj ^ h.adj
+        rows, cols = np.flatnonzero(d.any(axis=1)), np.flatnonzero(d.any(axis=0))
+        if len(rows) == 2 and len(cols) == 2 and d.sum() == 4:
+            found.append(((*rows.tolist(), *cols.tolist()), h))
+    return [h for _, h in sorted(found, key=lambda x: x[0])]
+
+
+def intersect_members(t):
+    """Invariant masks by intersecting the member matrices one by one."""
+    members = list(enumerate_class(t))
+    inv1 = members[0].adj.copy()
+    inv0 = 1 - members[0].adj
+    for m in members[1:]:
+        inv1 &= m.adj
+        inv0 &= 1 - m.adj
+    free = (1 - inv1 - inv0).astype(np.uint8)
+    return InvariantMasks(inv1=DiGraph(inv1), inv0=DiGraph(inv0), free=DiGraph(free))
+
+
+def components_per_member(t):
+    """Cut pairs tested on every member's 2D prefix sums:
+    top-left e x f all ones <=> prefix[e][f] == e*f, bottom-right all
+    zeros <=> total - row strip - col strip + prefix == 0."""
+    n = t.n
+    prefixes = []
+    for m in enumerate_class(t):
+        p = np.zeros((n + 1, n + 1), dtype=np.int64)
+        p[1:, 1:] = m.adj.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+        prefixes.append(p)
+    corners = [
+        (e, f)
+        for e in range(n + 1)
+        for f in range(n + 1)
+        if all(
+            p[e, f] == e * f and p[n, n] - p[e, n] - p[n, f] + p[e, f] == 0
+            for p in prefixes
+        )
+    ]
+    return ComponentPartition.from_cuts(
+        sorted({e for e, _ in corners if 0 < e < n}),
+        sorted({f for _, f in corners if 0 < f < n}),
+        intersect_members(t).free.adj,
+    )
+
+
+class TestBitmaskOracles:
+    """The bitmask oracles against per-member DiGraph implementations."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_interchange_neighbors_match_brute_force(self, n):
+        for t in seeded_types(n):
+            for g in enumerate_class(t):
+                assert interchange_neighbors(g, t.w) == brute_force_interchanges(g, t), (t, g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_invariants_and_components_match_per_member(self, n):
+        types = list(seeded_types(n))
+        if n <= 3:
+            types += [EdgeType(r, c) for (r, c), bits in sorted(partition_by_type(n).items()) if bits]
+        for t in types:
+            assert invariants_by_enumeration(t) == intersect_members(t), t
+            assert components_by_enumeration(t) == components_per_member(t), t
+
+    def test_interchange_reach_matches_brute_force_walk(self):
+        no_loops = DiGraph(1 - np.eye(3, dtype=np.uint8))  # two 3-cycles, no interchange
+        for t in [*seeded_types(4), EdgeType((1, 1, 1), (1, 1, 1), no_loops)]:
+            first = next(enumerate_class(t))
+            seen, frontier = {first}, [first]
+            while frontier:
+                frontier = [
+                    h for g in frontier for h in brute_force_interchanges(g, t) if h not in seen
+                ]
+                seen.update(frontier)
+            assert enumeration.interchange_reach(t) == (len(seen), count_class(t)), t
+        assert enumeration.interchange_reach(t) == (1, 2)

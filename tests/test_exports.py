@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,20 @@ def test_module_all_resolves(name):
 def test_package_all_resolves():
     missing = [attr for attr in edgetype.__all__ if not hasattr(edgetype, attr)]
     assert missing == []
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark's tracer wraps by name still exists."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = [*spans.FUNCTIONS, ("enumeration", "enumerate_class")]
+    missing = [
+        (mod, attr)
+        for mod, attr in traced
+        if not callable(getattr(importlib.import_module(f"edgetype.{mod}"), attr, None))
+    ]
+    assert missing == []
+    for attr in ("to_bits", "from_bits"):
+        assert callable(getattr(edgetype.graphs.DiGraph, attr, None)), attr

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgetype.enumeration import (
+    EnumerationLimitError,
     enumerate_class,
     enumerate_delta_class,
     partition_by_type,
@@ -146,6 +147,19 @@ class TestPointProb:
         params = FamilyDParams((INF, INF), (0.0, 0.0), DiGraph.complete(2))
         with pytest.raises(ValueError):
             typeclass_point_prob(params, EdgeType((1, 1), (1, 1)))
+
+    def test_limit_reaches_the_restricted_solve(self):
+        no_loops = DiGraph(1 - np.eye(7, dtype=np.uint8))
+        t = EdgeType((1,) * 7, (1,) * 7, no_loops)
+        params = FamilyDParams((0.0,) * 7, (0.0,) * 7, no_loops)
+        mix = MixtureDecomposition(weights=(1.0,), atoms=(params,))
+        with pytest.raises(EnumerationLimitError):
+            typeclass_point_prob(params, t)
+        with pytest.raises(EnumerationLimitError):
+            mixture_lower_bound(mix, t)
+        point = typeclass_point_prob(params, t, limit=7)
+        assert point == typeclass_prob(params, t, limit=7)[0]
+        assert mixture_lower_bound(mix, t, limit=7) == pytest.approx(point, rel=1e-12)
 
 
 class TestProbBounds:
