@@ -369,8 +369,13 @@ def cmd_rd_bounds(args) -> int:
 
 def cmd_rn_exact(args) -> int:
     t = parse_type(_load_json(args.type))
-    source = list(enumeration.enumerate_class(t, limit=args.limit))
-    if not source:
+    ratedistortion._check_oracle_n(t.n, args.rn_limit)  # before any enumeration
+    if args.params:
+        nonempty = enumeration.class_nonempty(t, limit=args.limit)
+    else:
+        source = list(enumeration.enumerate_class(t, limit=args.limit))
+        nonempty = bool(source)
+    if not nonempty:
         raise EmptyResult("empty class")
     d = Fraction(args.d)
     if args.params:

@@ -322,7 +322,7 @@ def counting_gap(entropy_nats: float, count: int, n: int) -> float:
 
 
 def barvinok_bounds(
-    t: EdgeType, tol: float | None = None, limit: int = 6
+    t: EdgeType, tol: float | None = None, limit: int = DEFAULT_LIMIT
 ) -> tuple[float, float | None, int | None]:
     """(alpha, gap, count): alpha(T) = e^{H(F_T)} plus, when the class is
     enumerable, its size and the measured counting gap."""

@@ -226,7 +226,7 @@ def typeclass_point_prob(
 
 
 def typeclass_prob_bounds(
-    params: FamilyDParams, t: EdgeType, tol: float | None = None, limit: int = 6
+    params: FamilyDParams, t: EdgeType, tol: float | None = None, limit: int = DEFAULT_LIMIT
 ) -> tuple[float | None, float, float | None]:
     """(lower, upper, exact) for Pr(F in T(r,c,W)).
 
@@ -240,7 +240,7 @@ def typeclass_prob_bounds(
 
 
 def typeclass_prob(
-    params: FamilyDParams, t: EdgeType, tol: float | None = None, limit: int = 6
+    params: FamilyDParams, t: EdgeType, tol: float | None = None, limit: int = DEFAULT_LIMIT
 ) -> tuple[float, float | None, float, float | None]:
     """(point, lower, upper, exact): typeclass_point_prob followed by
     typeclass_prob_bounds, sharing one dual solve."""
@@ -252,7 +252,7 @@ def sanov_bounds(
     params: FamilyDParams,
     types: list[EdgeType],
     tol: float | None = None,
-    limit: int = 6,
+    limit: int = DEFAULT_LIMIT,
 ) -> tuple[float, float, float | None]:
     """(lower, upper, exact) for Pr(F in union of the listed classes).
 

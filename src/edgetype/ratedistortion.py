@@ -14,6 +14,7 @@ where the definitions call for them.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .enumeration import _delta_members, class_nonempty, count_class, enumerate_class
+from .enumeration import DEFAULT_LIMIT, _delta_members, class_nonempty, count_class, enumerate_class
 from .graphs import DiGraph, DistortionValue, distortion
 from .maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
 from .probability import graph_prob
@@ -116,12 +117,12 @@ def sign_variants(t: EdgeType, d_r: Sequence[int], d_c: Sequence[int]) -> list[E
     return out
 
 
-def _entropy_of(t: EdgeType, tol: float | None, limit: int = 6) -> float:
+def _entropy_of(t: EdgeType, tol: float | None, limit: int = DEFAULT_LIMIT) -> float:
     _, _, report = solve_maxent(t, tol=tol, limit=limit)
     return report.entropy_nats
 
 
-def _measured_gap(t: EdgeType, h: float, limit: int = 6) -> float:
+def _measured_gap(t: EdgeType, h: float, limit: int = DEFAULT_LIMIT) -> float:
     """(H - ln count) / (n ln n), floored at 0: the enumerable stand-in
     for the universal counting constant."""
     count = count_class(t, limit=limit)
@@ -131,7 +132,7 @@ def _measured_gap(t: EdgeType, h: float, limit: int = 6) -> float:
 
 
 def delta_class_cardinality_bounds(
-    t: EdgeType, delta: float, dens: int, tol: float | None = None, limit: int = 6
+    t: EdgeType, delta: float, dens: int, tol: float | None = None, limit: int = DEFAULT_LIMIT
 ) -> tuple[float, float]:
     """Bounds on (1/n^2) ln |T_delta| around the per-cell entropy:
 
@@ -266,7 +267,7 @@ def rd_upper(
     delta: float,
     dens: int | None = None,
     tol: float | None = None,
-    limit: int = 6,
+    limit: int = DEFAULT_LIMIT,
 ) -> RDReport:
     """Achievability bound on R_n(Xi + delta/n) for the class of t."""
     return rd_bounds(t, xi, delta, 0.0, dens, tol, limit)[0]
@@ -279,7 +280,7 @@ def rd_lower(
     delta_hat: float,
     dens: int | None = None,
     tol: float | None = None,
-    limit: int = 6,
+    limit: int = DEFAULT_LIMIT,
 ) -> RDReport:
     """Converse bound on R_n(Xi + delta/n), clamped at 0."""
     return rd_bounds(t, xi, delta, delta_hat, dens, tol, limit)[1]
@@ -292,7 +293,7 @@ def rd_bounds(
     delta_hat: float,
     dens: int | None = None,
     tol: float | None = None,
-    limit: int = 6,
+    limit: int = DEFAULT_LIMIT,
 ) -> tuple[RDReport, RDReport]:
     """(rd_upper, rd_lower) from one scan of Omega, in which every type
     is solved and counted once."""
@@ -316,7 +317,7 @@ def _cover_pool(t: EdgeType, xi, delta: float, dens: int, limit: int) -> list[in
 
 
 def lemma_codebook_size(
-    t: EdgeType, xi, delta: float, dens: int, tol: float | None = None, limit: int = 6
+    t: EdgeType, xi, delta: float, dens: int, tol: float | None = None, limit: int = DEFAULT_LIMIT
 ) -> float:
     """The covering lemma's (deliberately loose) codebook size: e to the
     upper bound's exponent before its division by n^2."""
@@ -333,7 +334,7 @@ def build_cover_random(
     seed: int = 0,
     dens: int | None = None,
     tol: float | None = None,
-    limit: int = 6,
+    limit: int = DEFAULT_LIMIT,
 ) -> Codebook:
     """Draw m uniform codewords (with replacement, duplicates collapsed)
     from the covering pool.  With m omitted, the lemma's size formula is
@@ -365,7 +366,7 @@ def build_cover_random(
 
 
 def verify_cover(
-    b: Codebook, t: EdgeType, threshold, limit: int = 6
+    b: Codebook, t: EdgeType, threshold, limit: int = DEFAULT_LIMIT
 ) -> tuple[bool, DiGraph | None, Fraction]:
     """Exhaustive check that every class member is within the distortion
     threshold of the codebook (exact rational comparisons).  Returns
@@ -435,47 +436,84 @@ def _coverage_masks(
     return kept
 
 
-def _min_cover(universe: int, cands: list[tuple[int, int]]) -> list[int]:
-    """Exact minimum set cover (greedy seed + branch and bound).
-    Returns the chosen candidate codeword bitmasks."""
-    # greedy upper bound
-    greedy: list[int] = []
-    un = universe
-    while un:
-        m, hb = max(cands, key=lambda kv: (bin(kv[0] & un).count("1"), -kv[1]))
-        if not m & un:
-            raise ValueError("source not coverable")
-        greedy.append(hb)
-        un &= ~m
-    best = greedy
-    max_cover = max(bin(m).count("1") for m, _ in cands)
+def _top_sums(values: list[float], k: int) -> list[float]:
+    """Entry i is the sum of the k largest of values[i:]."""
+    heap: list[float] = []
+    sums = [0.0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        if len(heap) < k:
+            heapq.heappush(heap, values[i])
+        elif values[i] > heap[0]:
+            heapq.heapreplace(heap, values[i])
+        sums[i] = sum(heap)
+    return sums
 
-    def dfs(un: int, chosen: list[int]):
-        nonlocal best
-        if not un:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return
-        need = -(-bin(un).count("1") // max_cover)
-        if len(chosen) + need >= len(best):
-            return
-        # branch on the uncovered element with fewest covering candidates
-        elem = None
-        elem_cands: list[tuple[int, int]] = []
-        u = un
-        while u:
-            e = u & (-u)
-            cs = [kv for kv in cands if kv[0] & e]
-            if elem is None or len(cs) < len(elem_cands):
-                elem, elem_cands = e, cs
-            u &= u - 1
-        for m, hb in elem_cands:
-            chosen.append(hb)
-            dfs(un & ~m, chosen)
+
+def _smallest_cover(
+    cands: list[tuple[int, int]], weights: Sequence[float], need: float
+) -> list[int]:
+    """Codewords of the fewest candidates whose union carries weight >= need.
+
+    cands are (coverage mask over the weighted elements, codeword bits).  They
+    are ordered by covered weight, largest first, then codeword bits; for the
+    smallest k the first covering k-subset in that order is returned.  The one
+    optimistic bound, the sum of the k' largest uncovered masses among the
+    candidates still open, prunes only subtrees that hold no cover."""
+    if set(weights) == {1.0}:
+        mass = int.bit_count  # a sum of ones is exact
+    else:
+
+        def mass(m: int) -> float:
+            total = 0.0  # left to right over the set bits, no compensated sum
+            while m:
+                low = m & -m
+                total += weights[low.bit_length() - 1]
+                m ^= low
+            return total
+
+    ordered = sorted(((mass(m), m, hb) for m, hb in cands), key=lambda x: (-x[0], x[2]))
+    whole = [w for w, _, _ in ordered]
+    goal = need - 1e-12
+    hopeless = goal - 1e-12  # room for rounding in the optimistic sums
+
+    def reach(start: int, left: int, covered: int) -> float:
+        """The `left` largest uncovered masses among ordered[start:]; an
+        uncovered mass is at most the whole mass, which falls along the list."""
+        heap: list[float] = []
+        for idx in range(start, len(ordered)):
+            if len(heap) == left and whole[idx] <= heap[0]:
+                break
+            extra = mass(ordered[idx][1] & ~covered)
+            if len(heap) < left:
+                heapq.heappush(heap, extra)
+            elif extra > heap[0]:
+                heapq.heapreplace(heap, extra)
+        return sum(heap)
+
+    def dfs(start: int, left: int, covered: int, got: float, chosen: list[int]) -> list[int] | None:
+        if got >= goal:
+            return list(chosen)
+        if left == 0 or got + reach(start, left, covered) < hopeless:
+            return None
+        # uncovered masses; while nothing is covered they are the whole masses
+        extras = [mass(m & ~covered) for _, m, _ in ordered[start:]] if covered else whole[start:]
+        for idx, extra, bound in zip(range(start, len(ordered)), extras, _top_sums(extras, left)):
+            if got + bound < hopeless:
+                break  # the same bound over ordered[idx:]; it only falls with idx
+            if extra <= 0:
+                continue
+            chosen.append(ordered[idx][2])
+            found = dfs(idx + 1, left - 1, covered | ordered[idx][1], got + extra, chosen)
             chosen.pop()
+            if found is not None:
+                return found
+        return None
 
-    dfs(universe, [])
-    return best
+    for k in range(1, len(weights) + 1):
+        found = dfs(0, k, 0, 0.0, [])
+        if found is not None:
+            return sorted(found)
+    raise ValueError("source not coverable")
 
 
 def exact_rn(
@@ -492,11 +530,9 @@ def exact_rn(
     thr = _as_fraction(d)
     source_bits = [g.to_bits() for g in graphs]
     cands = _coverage_masks(source_bits, n, thr)
-    universe = (1 << len(source_bits)) - 1
-    if not any(True for _ in cands):
+    if not cands:
         raise ValueError("no candidate covers anything")
-    chosen = _min_cover(universe, cands)
-    chosen.sort()
+    chosen = _smallest_cover(cands, [1.0] * len(source_bits), len(source_bits))
     book = Codebook(
         graphs=tuple(DiGraph.from_bits(n, hb) for hb in chosen),
         seed=None,
@@ -520,61 +556,8 @@ def exact_rn_prob(
     need = sum(weights[i] for i in support) - eps
     if need <= 0:
         return 0.0, Codebook(graphs=(), seed=None, m_target=0, provenance="eps covers everything")
-    wts = [weights[i] for i in support]
     cands = _coverage_masks(support, n, thr)  # graph i has bits i
-
-    def mass(m: int) -> float:
-        total = 0.0  # left to right over the set bits, no compensated sum
-        while m:
-            low = m & -m
-            total += wts[low.bit_length() - 1]
-            m ^= low
-        return total
-
-    weighted = sorted(((mass(m), m, hb) for m, hb in cands), key=lambda x: (-x[0], x[2]))
-    cands = [(m, hb) for _, m, hb in weighted]
-    cand_mass = [w for w, _, _ in weighted]
-    tol = 1e-12
-
-    best: list[int] | None = None
-
-    def covers(k: int) -> list[int] | None:
-        """Can k candidates cover mass >= need?  Returns codewords or None."""
-        found: list[int] | None = None
-
-        def dfs(start: int, left: int, covered: int, got: float, chosen: list[int]):
-            nonlocal found
-            if found is not None:
-                return
-            if got >= need - tol:
-                found = list(chosen)
-                return
-            if left == 0 or start >= len(cands):
-                return
-            # optimistic bound: add the largest remaining masses outright
-            if got + sum(cand_mass[start : start + left]) < need - tol:
-                return
-            for idx in range(start, len(cands)):
-                m, hb = cands[idx]
-                extra = mass(m & ~covered)
-                if extra <= 0 and got < need - tol:
-                    continue
-                chosen.append(hb)
-                dfs(idx + 1, left - 1, covered | m, got + extra, chosen)
-                chosen.pop()
-                if found is not None:
-                    return
-
-        dfs(0, k, 0, 0.0, [])
-        return found
-
-    for k in range(1, len(support) + 1):
-        res = covers(k)
-        if res is not None:
-            best = sorted(res)
-            break
-    if best is None:
-        raise ValueError("source not coverable")
+    best = _smallest_cover(cands, [weights[i] for i in support], need)
     book = Codebook(
         graphs=tuple(DiGraph.from_bits(n, hb) for hb in best),
         seed=None,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import edgetype
-from edgetype import maxent, probability
+from edgetype import enumeration, maxent, probability
 from edgetype.cli import _build_parser, _matrix_json, main
 from edgetype.enumeration import class_invariants
 from edgetype.graphs import DiGraph
@@ -569,6 +569,55 @@ class TestCoverAndRD:
             '{"adj": [[1, 1, 1], [1, 1, 1], [1, 0, 1]], "n": 3}], '
             '"codebook_size": 3, "rate_bits": 0.1761069445245729}\n'
         )
+
+    def test_rn_exact_params_weak_bound_instance_pinned_bytes(self, capsys, write_json):
+        # a 4-word codebook that once took 10 s under a bound blind to covered mass
+        params = {"a": [1.173, 1.288, -0.06], "b": [-0.954, -1.998, 0.651]}
+        argv = ["rn-exact", "--type", write_json(PERMUTATIONS_3)]
+        argv += ["--params", write_json(params), "--d", "1/3", "--eps", "0.25"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out == (
+            '{"codebook": [{"adj": [[1, 1, 0], [0, 1, 0], [0, 1, 0]], "n": 3}, '
+            '{"adj": [[0, 0, 0], [0, 0, 0], [1, 1, 0]], "n": 3}, '
+            '{"adj": [[0, 1, 0], [1, 1, 0], [1, 1, 0]], "n": 3}, '
+            '{"adj": [[1, 1, 0], [0, 1, 0], [1, 1, 1]], "n": 3}], '
+            '"codebook_size": 4, "rate_bits": 0.2222222222222222}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "extra, message", [((), "exact oracle limit 3"), (("--rn-limit", "7"), "ceiling n=4")]
+    )
+    def test_rn_exact_above_oracle_limit_exit_two(self, capsys, write_json, extra, message):
+        # n = 7 is above the enumeration limit too; the oracle's check comes first
+        t = write_json({"r": [1] * 7, "c": [1] * 7})
+        code = main(["rn-exact", "--type", t, "--d", "0", *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
+    def test_rn_exact_refuses_n_before_enumerating(self, capsys, write_json, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the class was enumerated")
+
+        monkeypatch.setattr(enumeration, "_members", refuse)
+        t = write_json({"r": [3] * 6, "c": [3] * 6})
+        for extra in ((), ("--params", write_json({"a": [0] * 6, "b": [0] * 6}))):
+            code = main(["rn-exact", "--type", t, "--d", "0", *extra])
+            captured = capsys.readouterr()
+            assert code == 2 and "exact oracle limit 3" in captured.err
+
+    def test_rn_exact_params_does_not_enumerate(self, capsys, write_json, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the class was enumerated")
+
+        monkeypatch.setattr(enumeration, "enumerate_class", refuse)
+        params = write_json({"a": [0, 0], "b": [0, 0]})
+        t = write_json(REGULAR_PAIR)
+        code, out = run(capsys, "rn-exact", "--type", t, "--params", params, "--d", "0")
+        assert code == 0 and json.loads(out)["codebook_size"] == 16
+        code = main(["rn-exact", "--type", write_json(INFEASIBLE), "--params", params, "--d", "0"])
+        assert code == 1 and "empty class" in capsys.readouterr().err
 
     def test_rd_bounds_above_limit_exit_four(self, capsys, write_json):
         t = write_json({"r": [3] * 7, "c": [3] * 7})

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,32 @@ def test_traced_names_resolve():
     assert missing == []
     for attr in ("to_bits", "from_bits"):
         assert callable(getattr(edgetype.graphs.DiGraph, attr, None)), attr
+
+
+
+# Size caps that differ from the enumeration default on purpose.
+OWN_LIMITS = {
+    ("enumeration", "partition_by_type"): 4,
+    ("ratedistortion", "exact_rn"): 3,
+    ("ratedistortion", "exact_rn_prob"): 3,
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_limit_defaults_read_the_enumeration_default(name):
+    """Every `limit` default is spelled DEFAULT_LIMIT, except the caps in
+    OWN_LIMITS.  Read from the source: while DEFAULT_LIMIT is 6, a literal 6
+    has the same value."""
+    mod = importlib.import_module(f"edgetype.{name}")
+    for fn in ast.walk(ast.parse(inspect.getsource(mod))):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = fn.args.args[len(fn.args.args) - len(fn.args.defaults) :] + fn.args.kwonlyargs
+        defaults = dict(zip((p.arg for p in params), fn.args.defaults + fn.args.kw_defaults))
+        node = defaults.get("limit")
+        if node is None:
+            continue
+        if (name, fn.name) in OWN_LIMITS:
+            assert ast.literal_eval(node) == OWN_LIMITS[name, fn.name]
+        else:
+            assert isinstance(node, ast.Name) and node.id == "DEFAULT_LIMIT", f"{name}.{fn.name}"

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,9 +9,16 @@ import numpy as np
 import pytest
 
 from edgetype import ratedistortion
-from edgetype.enumeration import EnumerationLimitError, class_nonempty, enumerate_class, enumerate_delta_class
+from edgetype.enumeration import (
+    EnumerationLimitError,
+    class_nonempty,
+    enumerate_class,
+    enumerate_delta_class,
+    partition_by_type,
+)
 from edgetype.graphs import DiGraph, distortion
 from edgetype.maxent import ProductRandomGraph, binary_entropy
+from edgetype.probability import FamilyDParams, family_d_graph
 from edgetype.ratedistortion import (
     Codebook,
     build_cover_random,
@@ -543,3 +551,111 @@ class TestExactRnProb:
         ]
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[0] == 16
+
+
+def reference_cover(cands, weights, need):
+    """The unpruned search `exact_rn_prob` ran before the shared one: for
+    k = 1, 2, ... the first k-subset of the candidates, ordered by covered
+    weight (largest first) and then codeword bits, whose weight reaches need."""
+
+    def mass(m):
+        total = 0.0
+        while m:
+            low = m & -m
+            total += weights[low.bit_length() - 1]
+            m ^= low
+        return total
+
+    ordered = sorted(((mass(m), m, hb) for m, hb in cands), key=lambda x: (-x[0], x[2]))
+    goal = need - 1e-12
+
+    def dfs(start, left, covered, got, chosen):
+        if got >= goal:
+            return chosen
+        if left == 0:
+            return None
+        for idx in range(start, len(ordered)):
+            _, m, hb = ordered[idx]
+            extra = mass(m & ~covered)
+            if extra > 0:
+                found = dfs(idx + 1, left - 1, covered | m, got + extra, chosen + [hb])
+                if found is not None:
+                    return found
+        return None
+
+    for k in range(1, len(weights) + 1):
+        found = dfs(0, k, 0, 0.0, [])
+        if found is not None:
+            return sorted(found)
+    raise ValueError("source not coverable")
+
+
+def weighted_instance(f, d, eps):
+    """The (candidates, weights, need) that `exact_rn_prob` hands the search."""
+    n = f.n
+    weights = [ratedistortion.graph_prob(f, DiGraph.from_bits(n, b)) for b in range(1 << (n * n))]
+    support = [i for i, w in enumerate(weights) if w > 0]
+    need = sum(weights[i] for i in support) - eps
+    cands = ratedistortion._coverage_masks(support, n, Fraction(d))
+    return cands, [weights[i] for i in support], need
+
+
+def covered_weight(cands, weights, codewords):
+    union = functools.reduce(int.__or__, (m for m, hb in cands if hb in codewords), 0)
+    return math.fsum(w for i, w in enumerate(weights) if union >> i & 1)
+
+
+def cover_weights(cands, weights, size):
+    """Brute force: the weight each `size`-subset of the candidates covers."""
+    covers = np.array([[m >> i & 1 for i in range(len(weights))] for m, _ in cands], dtype=bool)
+    for rest in itertools.combinations(range(len(cands)), size - 1):
+        yield from (covers[list(rest)].any(axis=0) | covers) @ np.array(weights)
+
+
+def seeded_families():
+    """Every support of a 2-vertex product graph (each p_ij 0, 1 or strictly
+    between), then seeded logistic families on 3 vertices."""
+    rng = random.Random(12)
+    out = []
+    for cells in product((0.0, 1.0, None), repeat=4):
+        p = np.array([rng.uniform(0.05, 0.95) if v is None else v for v in cells]).reshape(2, 2)
+        f = ProductRandomGraph(p=p, w=DiGraph.complete(2))
+        out += [(f, Fraction(k, 2), rng.choice((0.0, 0.1, 0.25, 0.5))) for k in range(3)]
+    for _ in range(8):
+        a = [rng.uniform(-2, 2) for _ in range(3)]
+        b = [rng.uniform(-2, 2) for _ in range(3)]
+        f = family_d_graph(FamilyDParams(a=tuple(a), b=tuple(b), w=DiGraph.complete(3)))
+        out += [(f, Fraction(1, 3), 0.75), (f, Fraction(2, 3), 0.1)]
+        out.append((f, Fraction(1), rng.choice((0.0, 0.5))))
+    return out
+
+
+class TestSmallestCover:
+    """One search behind both oracles: it returns the cover the unpruned
+    search returns, and no smaller set of candidates reaches the need."""
+
+    @pytest.mark.parametrize("f, d, eps", seeded_families())
+    def test_weighted_matches_unpruned_reference(self, f, d, eps):
+        cands, weights, need = weighted_instance(f, d, eps)
+        got = ratedistortion._smallest_cover(cands, weights, need)
+        assert got == reference_cover(cands, weights, need)
+        assert [g.to_bits() for g in exact_rn_prob(f, d, eps)[1].graphs] == got
+        assert covered_weight(cands, weights, got) >= need - 1e-9
+        if len(got) > 1:
+            assert max(cover_weights(cands, weights, len(got) - 1)) < need - 1e-12
+
+    @pytest.mark.parametrize("t", [EdgeType(*rc) for rc in partition_by_type(2)] + seeded_types(3, 6))
+    def test_unit_weights_match_unpruned_reference(self, t):
+        source = sorted(g.to_bits() for g in enumerate_class(t))
+        for k in range(t.n + 1):
+            cands = ratedistortion._coverage_masks(source, t.n, Fraction(k, t.n))
+            if not cands:
+                continue
+            got = ratedistortion._smallest_cover(cands, [1.0] * len(source), len(source))
+            assert got == reference_cover(cands, [1.0] * len(source), len(source))
+            _, book = exact_rn([DiGraph.from_bits(t.n, b) for b in source], Fraction(k, t.n))
+            assert [g.to_bits() for g in book.graphs] == got
+
+    def test_weight_short_of_need_is_refused(self):
+        with pytest.raises(ValueError, match="not coverable"):
+            ratedistortion._smallest_cover([(0b01, 5)], [0.5, 0.5], 0.75)
