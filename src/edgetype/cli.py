@@ -88,11 +88,17 @@ def graph_json(g: DiGraph) -> dict:
 
 
 def _emit(obj, out_path: str | None) -> None:
-    _emit_lines((obj,), out_path)
+    _write(json.dumps(obj, sort_keys=True) + "\n", out_path)
 
 
-def _emit_lines(objs, out_path: str | None) -> None:
-    _write("".join(json.dumps(o, sort_keys=True) + "\n" for o in objs), out_path)
+def _emit_graphs(stream, n: int, out_path: str | None) -> None:
+    """One `graph_json` line per row-major bitmask of the stream, each byte-
+    identical to `json.dumps(graph_json(g), sort_keys=True)`, assembled from
+    the texts of the 2^n possible rows."""
+    rows = [json.dumps([m >> j & 1 for j in range(n)]) for m in range(1 << n)]
+    full, shifts, tail = (1 << n) - 1, range(0, n * n, n), f'], "n": {n}}}\n'
+    lines = ('{"adj": [' + ", ".join([rows[bits >> s & full] for s in shifts]) + tail for bits in stream)
+    _write("".join(lines), out_path)
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -128,10 +134,26 @@ def _dens(args, t: EdgeType) -> int:
 
 
 def _delta(args) -> float:
-    """--delta, checked nonnegative together with rd-bounds' --delta-hat."""
-    if args.delta < 0 or getattr(args, "delta_hat", 0.0) < 0:
+    """--delta, checked nonnegative (not NaN) together with rd-bounds' --delta-hat."""
+    if not (args.delta >= 0 and getattr(args, "delta_hat", 0.0) >= 0):
         raise ValueError("delta must be nonnegative")
     return args.delta
+
+
+def _fraction(text: str) -> Fraction:
+    """An exact rational flag such as --xi 1/3."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    """--tol: a nonnegative number."""
+    tol = float(text)
+    if not tol >= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be nonnegative: {text!r}")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +237,7 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     t = parse_type(_load_json(args.type))
     dens, delta = _dens(args, t), _delta(args)
-    stream = enumeration.enumerate_delta_class(t, delta, dens, limit=args.limit)
-    _emit_lines((graph_json(g) for g in stream), args.out)
+    _emit_graphs(enumeration._delta_members(t, delta, dens, args.limit), t.n, args.out)
     return EXIT_OK
 
 
@@ -299,10 +320,8 @@ def cmd_delta(args) -> int:
 def cmd_conditional(args) -> int:
     t = parse_type(_load_json(args.type))
     g = parse_graph(_load_json(args.graph), n=t.n)
-    stream = enumeration.enumerate_conditional(
-        t, g, delta=_delta(args), dens=_dens(args, t), limit=args.limit
-    )
-    _emit_lines((graph_json(h) for h in stream), args.out)
+    stream = enumeration._conditional_members(t, g, _delta(args), _dens(args, t), args.limit)
+    _emit_graphs(stream, t.n, args.out)
     return EXIT_OK
 
 
@@ -333,7 +352,7 @@ def cmd_cover(args) -> int:
         tol=args.tol,
         limit=args.limit,
     )
-    thr = Fraction(args.xi) + Fraction(delta).limit_denominator(10**9) / t.n
+    thr = args.xi + Fraction(delta).limit_denominator(10**9) / t.n
     ok, worst, worst_v = ratedistortion.verify_cover(book, t, thr, limit=args.limit)
     _emit(
         {
@@ -368,6 +387,8 @@ def cmd_rd_bounds(args) -> int:
 
 
 def cmd_rn_exact(args) -> int:
+    if args.eps is not None and not args.params:
+        raise ValueError("--eps needs --params")
     t = parse_type(_load_json(args.type))
     ratedistortion._check_oracle_n(t.n, args.rn_limit)  # before any enumeration
     if args.params:
@@ -377,15 +398,14 @@ def cmd_rn_exact(args) -> int:
         nonempty = bool(source)
     if not nonempty:
         raise EmptyResult("empty class")
-    d = Fraction(args.d)
     if args.params:
         params = parse_family_params(_load_json(args.params))
         if params.n != t.n:
             raise ValueError("dimension mismatch")
         f = probability.family_d_graph(params)
-        rate, book = ratedistortion.exact_rn_prob(f, d, args.eps, limit=args.rn_limit)
+        rate, book = ratedistortion.exact_rn_prob(f, args.d, args.eps or 0.0, limit=args.rn_limit)
     else:
-        rate, book = ratedistortion.exact_rn(source, d, limit=args.rn_limit)
+        rate, book = ratedistortion.exact_rn(source, args.d, limit=args.rn_limit)
     _emit(
         {
             "rate_bits": rate,
@@ -409,9 +429,9 @@ _SHARED_FLAGS = {
     "graph": {"required": True, "help": "graph JSON file"},
     "graph2": {"required": True, "help": "second graph JSON file"},
     "params": {"required": True, "help": "family params JSON file"},
-    "tol": {"type": float, "default": None},
+    "tol": {"type": _tolerance, "default": None},
     "limit": {"type": int, "default": enumeration.DEFAULT_LIMIT},
-    "xi": {"required": True, "help": "distortion budget, e.g. 1/3"},
+    "xi": {"type": _fraction, "required": True, "help": "distortion budget, e.g. 1/3"},
     "delta": {"type": float, "default": 0.0},
     "dens": {"type": int, "default": None},
 }
@@ -455,8 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("rd-bounds", cmd_rd_bounds, "type", "tol", "limit", "xi", "delta", "dens")
     sp.add_argument("--delta-hat", dest="delta_hat", type=float, default=0.0)
     sp = add("rn-exact", cmd_rn_exact, "type", "params", "limit", params={"required": False})
-    sp.add_argument("--d", required=True, help="distortion threshold, e.g. 1/3")
-    sp.add_argument("--eps", type=float, default=0.0)
+    sp.add_argument("--d", type=_fraction, required=True, help="distortion threshold, e.g. 1/3")
+    sp.add_argument("--eps", type=float, default=None, help="uncovered mass allowed; needs --params")
     sp.add_argument("--rn-limit", dest="rn_limit", type=int, default=3)
     return p
 

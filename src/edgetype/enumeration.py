@@ -21,6 +21,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import comb
+from operator import add, le, sub
 from typing import Iterator, Sequence
 
 from .graphs import DiGraph, respects_restriction
@@ -29,7 +30,6 @@ from .typealg import (
     EdgeType,
     InvariantMasks,
     _class_key,
-    gale_ryser_feasible,
     invariant_positions,
     restriction_necessary,
 )
@@ -67,20 +67,21 @@ def _check_limit(n: int, limit: int) -> None:
         )
 
 
-def _row_patterns(allowed: tuple[int, ...], k: int, n: int) -> list[int]:
-    """All column bitmasks with k ones placed within the allowed columns,
-    ordered lexicographically by the row's bit string (cell (i,0) first,
-    0 before 1)."""
-    masks = []
-    for cols in combinations(allowed, k):
-        m = 0
-        for j in cols:
-            m |= 1 << j
-        masks.append(m)
-    # Lex order on the bit string (b_0, b_1, ..., b_{n-1}) equals numeric
-    # order of the mask with bit j reversed; sort by the tuple directly.
-    masks.sort(key=lambda m: tuple((m >> j) & 1 for j in range(n)))
-    return masks
+@lru_cache(maxsize=None)
+def _row_vectors(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The 0/1 column vector of every row bitmask of width n, and its inverse."""
+    vecs = tuple(tuple(m >> j & 1 for j in range(n)) for m in range(1 << n))
+    return vecs, {v: m for m, v in enumerate(vecs)}
+
+
+@lru_cache(maxsize=None)
+def _row_patterns(allowed: int, k: int, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(bitmask, column vector) of every row with k ones inside the allowed
+    columns, in lexicographic order of the row's bit string (cell (i, 0)
+    first, 0 before 1), which is ascending order of the vector."""
+    vecs = _row_vectors(n)[0]
+    masks = [m for m in range(1 << n) if m & allowed == m and m.bit_count() == k]
+    return tuple(sorted(((m, vecs[m]) for m in masks), key=lambda p: p[1]))
 
 
 def _enumerate_bits(
@@ -88,55 +89,59 @@ def _enumerate_bits(
 ) -> Iterator[int]:
     """Backtracking search over row bitmasks in deterministic order.
 
-    Prunes on residual column demand: each remaining column needs at most
-    as many ones as there are later rows allowing it, and when W is
-    complete the residual (r, c) pair must pass the Gale-Ryser test.
+    Rows are placed top to bottom, and a child is entered only if its
+    residual column sums pass a test: with W complete, Gale-Ryser on the
+    open rows (the sorted sums against the prefix sums of the conjugate of
+    r[i:]), which is exact, so no subtree lacks a member; with W
+    restricted, each sum between 0 and its column's room in the open rows.
+    The last row is forced to the residual, which must be 0/1 inside W.
     """
     if sum(r) != sum(c):
         return
-    unrestricted = all(w_rows[i] == (1 << n) - 1 for i in range(n))
-    # suffix_cap[i][j]: number of rows >= i whose restriction allows column j
-    suffix_cap = [[0] * n for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for j in range(n):
-            suffix_cap[i][j] = suffix_cap[i + 1][j] + ((w_rows[i] >> j) & 1)
-    patterns = [
-        _row_patterns(tuple(j for j in range(n) if (w_rows[i] >> j) & 1), r[i], n)
-        for i in range(n)
-    ]
+    vecs, mask_of = _row_vectors(n)
+    full = (1 << n) - 1
+    unrestricted = all(w == full for w in w_rows)
+    # room[i][j]: the ones column j can take in rows i.., each row's ones
+    # packed to the left when W is complete (the conjugate of r[i:]), else
+    # the cells W allows
+    room = [[0] * n]
+    for row in reversed([full >> n - v for v in r] if unrestricted else w_rows):
+        room.append(list(map(add, room[-1], vecs[row])))
+    room.reverse()
+    if unrestricted:
+        caps = [list(accumulate(cols)) for cols in room]
 
-    c_rem = list(c)
-    rows: list[int] = []
+        def fits(i: int, cols: tuple[int, ...]) -> bool:
+            # a negative sum fails too: the other n - 1 then exceed the total
+            return all(map(le, accumulate(sorted(cols, reverse=True)), caps[i]))
 
-    def feasible_tail(i: int) -> bool:
-        for j in range(n):
-            if c_rem[j] < 0 or c_rem[j] > suffix_cap[i][j]:
-                return False
-        if unrestricted and not gale_ryser_feasible(
-            tuple(r[i:]) + (0,) * i, tuple(min(v, n) for v in c_rem)
-        ):
-            return False
-        return True
+    else:
 
-    def search(i: int) -> Iterator[int]:
-        if i == n:
-            if all(v == 0 for v in c_rem):
-                bits = 0
-                for k, row in enumerate(rows):
-                    bits |= row << (k * n)
-                yield bits
-            return
-        for row in patterns[i]:
-            for j in range(n):
-                c_rem[j] -= (row >> j) & 1
-            rows.append(row)
-            if feasible_tail(i + 1):
-                yield from search(i + 1)
-            rows.pop()
-            for j in range(n):
-                c_rem[j] += (row >> j) & 1
+        def fits(i: int, cols: tuple[int, ...]) -> bool:
+            return min(cols) >= 0 and all(map(le, cols, room[i]))
 
-    yield from search(0)
+    outside_last = ~w_rows[n - 1]
+    patterns = [_row_patterns(w_rows[i], r[i], n) for i in range(n - 1)]
+
+    def search(i: int, cols: tuple[int, ...], bits: int) -> Iterator[int]:
+        """The members whose rows < i are `bits`; cols are the residual sums."""
+        shift = i * n
+        for m, vec in patterns[i]:
+            rest = tuple(map(sub, cols, vec))
+            if i == n - 2:
+                last = mask_of.get(rest)  # None unless rest is 0/1
+                if last is not None and not last & outside_last:
+                    yield bits | m << shift | last << shift + n
+            elif fits(i + 1, rest):
+                yield from search(i + 1, rest, bits | m << shift)
+
+    c = tuple(c)
+    if n == 1:
+        last = mask_of.get(c)
+        if last is not None and not last & outside_last:
+            yield last
+    elif fits(0, c):
+        yield from search(0, c, 0)
 
 
 def _members(t: EdgeType, limit: int) -> Iterator[int]:
@@ -238,9 +243,7 @@ def class_invariants(t: EdgeType, limit: int = DEFAULT_LIMIT) -> InvariantMasks:
 
 
 def _graph_rows(g: DiGraph) -> list[int]:
-    n = g.n
-    a = g.adj
-    return [int(sum(int(a[i, j]) << j for j in range(n))) for i in range(n)]
+    return [sum(v << j for j, v in enumerate(row)) for row in g.adj.tolist()]
 
 
 def partition_by_type(n: int, limit: int = 4) -> dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]]:
@@ -346,8 +349,9 @@ def _delta_types(t: EdgeType, delta: float, dens: int) -> Iterator[EdgeType]:
 def _delta_members(t: EdgeType, delta: float, dens: int, limit: int) -> Iterator[int]:
     """The members of the δ-class as bitmasks, in enumerate_delta_class order."""
     _check_limit(t.n, limit)
+    w_rows = _graph_rows(t.w)
     for tt in _delta_types(t, delta, dens):
-        yield from _members(tt, limit)
+        yield from _enumerate_bits(tt.r, tt.c, w_rows, t.n)
 
 
 def enumerate_delta_class(
@@ -367,6 +371,17 @@ def count_delta_class(t: EdgeType, delta: float, dens: int, limit: int = DEFAULT
     return sum(k * count_class(tt, limit=limit) for tt, k in classes.items())
 
 
+def _conditional_members(
+    t: EdgeType, g: DiGraph, delta: float, dens: int, limit: int
+) -> Iterator[int]:
+    """The graphs of enumerate_conditional as bitmasks, in its order."""
+    if not respects_restriction(g, t.w):
+        raise ValueError("reference graph violates the restriction graph")
+    g_bits = g.to_bits()
+    for d in _delta_members(t, delta, dens, limit):
+        yield g_bits ^ d  # inside W, as g and every member are
+
+
 def enumerate_conditional(
     t: EdgeType,
     g: DiGraph,
@@ -379,13 +394,8 @@ def enumerate_conditional(
     Here t carries the degree pair of the *distortion* graph; g is the
     reference and must itself respect W.
     """
-    if not respects_restriction(g, t.w):
-        raise ValueError("reference graph violates the restriction graph")
-    g_bits, w_bits = g.to_bits(), t.w.to_bits()
-    for d in _delta_members(t, delta, dens, limit):
-        h = g_bits ^ d
-        if h & ~w_bits == 0:
-            yield DiGraph.from_bits(t.n, h)
+    for h in _conditional_members(t, g, delta, dens, limit):
+        yield DiGraph.from_bits(t.n, h)
 
 
 def invariants_by_enumeration(t: EdgeType, limit: int = DEFAULT_LIMIT) -> InvariantMasks:

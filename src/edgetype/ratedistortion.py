@@ -548,6 +548,8 @@ def exact_rn_prob(
 ) -> tuple[float, Codebook]:
     """Exact probabilistic rate-distortion point: the smallest codebook
     leaving uncovered probability mass at most eps under f."""
+    if not eps >= 0:  # else no codebook meets the need and every subset is tried
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     n = f.n
     _check_oracle_n(n, limit)
     thr = _as_fraction(d)

@@ -10,7 +10,7 @@ import pytest
 
 import edgetype
 from edgetype import enumeration, maxent, probability
-from edgetype.cli import _build_parser, _matrix_json, main
+from edgetype.cli import _build_parser, _matrix_json, graph_json, main, parse_type
 from edgetype.enumeration import class_invariants
 from edgetype.graphs import DiGraph
 from edgetype.typealg import EdgeType, reduce_by_invariants
@@ -640,6 +640,121 @@ class TestCoverAndRD:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "empty class" in captured.err
+
+
+NO_LOOPS_3 = {"n": 3, "adj": [[int(i != j) for j in range(3)] for i in range(3)]}
+
+
+class TestMemberLines:
+    """`enumerate` and `conditional` write each member from its bitmask; the
+    bytes must be the `graph_json` lines of the library's DiGraph stream."""
+
+    @staticmethod
+    def lines(graphs):
+        return "".join(json.dumps(graph_json(g), sort_keys=True) + "\n" for g in graphs)
+
+    @staticmethod
+    def flags(delta, dens):
+        return [*(["--delta", str(delta)] if delta else []), *(["--dens", str(dens)] if dens else [])]
+
+    @pytest.mark.parametrize(
+        "spec, delta, dens",
+        [
+            (PERMUTATIONS_3, 0.0, None),
+            ({"r": [4, 2, 1, 0], "c": [2, 2, 2, 1]}, 0.5, None),
+            ({"r": [1], "c": [1]}, 0.0, None),
+            ({"r": [0], "c": [0]}, 1.5, 1),
+            ({**PERMUTATIONS_3, "w": NO_LOOPS_3}, 0.0, None),
+            ({"r": [2, 1, 1], "c": [1, 2, 1], "w": NO_LOOPS_3}, 0.6, None),
+        ],
+        ids=["plain", "delta", "n1", "n1-delta", "restricted", "restricted-delta"],
+    )
+    def test_enumerate(self, capsys, write_json, spec, delta, dens):
+        t = parse_type(spec)
+        code, out = run(capsys, "enumerate", "--type", write_json(spec), *self.flags(delta, dens))
+        want = self.lines(enumeration.enumerate_delta_class(t, delta, dens or t.density()))
+        assert code == 0 and out and first_difference(out, want) is None
+
+    def test_enumerate_empty_class(self, capsys, write_json):
+        code = main(["enumerate", "--type", write_json(INFEASIBLE)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.out == captured.err == ""
+
+    @pytest.mark.parametrize(
+        "spec, ref, delta",
+        [
+            (PERMUTATIONS_3, [[1, 1, 0], [0, 0, 1], [1, 0, 0]], 0.0),
+            ({"r": [1, 0, 1], "c": [0, 1, 1]}, [[1, 1, 0], [0, 0, 1], [1, 0, 1]], 0.5),
+            ({**PERMUTATIONS_3, "w": NO_LOOPS_3}, [[0, 1, 1], [0, 0, 1], [1, 0, 0]], 0.0),
+        ],
+        ids=["plain", "delta", "restricted"],
+    )
+    def test_conditional(self, capsys, write_json, spec, ref, delta):
+        t, g = parse_type(spec), DiGraph(ref)
+        argv = ["--type", write_json(spec), "--graph", write_json(graph_json(g)), *self.flags(delta, None)]
+        code, out = run(capsys, "conditional", *argv)
+        want = self.lines(enumeration.enumerate_conditional(t, g, delta, t.density()))
+        assert code == 0 and out and first_difference(out, want) is None
+
+
+class TestBadNumbers:
+    """Numeric flags outside their domain exit 2 before any work is done."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cover", "--xi", "1/0"],
+            ["rd-bounds", "--xi", "1/0"],
+            ["rn-exact", "--d", "1/0"],
+            ["maxent", "--tol", "-1"],
+            ["maxent", "--tol", "nan"],
+            ["bounds", "--tol", "-1"],
+            ["delta", "--delta", "0", "--tol", "nan"],
+            ["rd-bounds", "--xi", "1/3", "--tol", "-1"],
+        ],
+        ids=lambda argv: "_".join(argv).replace("--", ""),
+    )
+    def test_usage_error(self, capsys, write_json, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--type", write_json(PERMUTATIONS_3)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument {argv[-2]}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--delta", "nan"],
+            ["delta", "--delta", "nan"],
+            ["conditional", "--delta", "nan", "--graph", {"n": 3, "adj": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+            ["cover", "--delta", "nan", "--xi", "1/3"],
+            ["rd-bounds", "--delta", "nan", "--xi", "1/3"],
+            ["rd-bounds", "--delta-hat", "nan", "--xi", "1/3"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]).replace("--", ""),
+    )
+    def test_nan_delta(self, capsys, write_json, argv):
+        argv = [write_json(a) if isinstance(a, dict) else a for a in argv]
+        code = main([*argv, "--type", write_json(PERMUTATIONS_3)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "delta must be nonnegative" in captured.err
+
+    @pytest.mark.parametrize("eps", ["-0.1", "nan"])
+    def test_rn_exact_bad_eps(self, capsys, write_json, eps):
+        # eps < 0 makes the need exceed the whole mass: no codebook can meet it
+        params = write_json({"a": [0, 0, 0], "b": [0, 0, 0]})
+        argv = ["rn-exact", "--type", write_json(PERMUTATIONS_3), "--d", "1/3", "--params", params]
+        code = main([*argv, "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "eps must be nonnegative" in captured.err
+
+    def test_rn_exact_eps_needs_params(self, capsys, write_json):
+        code = main(["rn-exact", "--type", write_json(REGULAR_PAIR), "--d", "0", "--eps", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--eps needs --params" in captured.err
 
 
 class TestParserReuse:

@@ -445,3 +445,59 @@ class TestBitmaskOracles:
                 seen.update(frontier)
             assert enumeration.interchange_reach(t) == (len(seen), count_class(t)), t
         assert enumeration.interchange_reach(t) == (1, 2)
+
+
+def lex_key(bits, n):
+    """Lexicographic rank of the row-major bit string, cell (0, 0) first."""
+    return int(format(bits, f"0{n * n}b")[::-1], 2)
+
+
+class TestMemberOrder:
+    """The pruned search against the unpruned sweep of all 2^(n^2) graphs:
+    the same members, in lexicographic order of the row-major bit string."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pair_in_order(self, n):
+        buckets, w = partition_by_type(n), DiGraph.complete(n)
+        degrees = list(product(range(n + 1), repeat=n))
+        for r in degrees:
+            for c in degrees:
+                if sum(r) == sum(c):  # other pairs are empty before any search
+                    want = sorted(buckets.get((r, c), []), key=lambda b: lex_key(b, n))
+                    assert list(enumeration._members(EdgeType(r, c, w), 4)) == want, (r, c)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_restricted_in_order(self, n):
+        buckets = partition_by_type(n)
+        rng = random.Random(f"member-order:{n}")
+        for _ in range(6 if n == 3 else 3):
+            wbits = rng.getrandbits(n * n) | rng.getrandbits(n * n)
+            w = DiGraph.from_bits(n, wbits)
+            for (r, c), bits in sorted(buckets.items()):
+                want = sorted((b for b in bits if not b & ~wbits), key=lambda b: lex_key(b, n))
+                assert list(enumeration._members(EdgeType(r, c, w), 4)) == want, (r, c, wbits)
+
+    def test_delta_class_in_order(self):
+        n = 3
+        buckets = partition_by_type(n)
+        for t in [EdgeType((1, 1, 1), (1, 1, 1)), EdgeType((2, 1, 0), (1, 1, 1)), EdgeType((3, 1, 0), (2, 1, 1))]:
+            for delta, dens in [(0.0, 1), (0.5, 3), (0.4, 5), (1.1, 2)]:
+                want = [
+                    DiGraph.from_bits(n, b)
+                    for (r, c), bits in sorted(buckets.items())
+                    if all(x == y or abs(x - y) < delta * dens for x, y in zip(r + c, t.r + t.c))
+                    for b in sorted(bits, key=lambda b: lex_key(b, n))
+                ]
+                assert list(enumerate_delta_class(t, delta, dens)) == want, (t, delta, dens)
+
+    def test_two_regular_n6_stream(self):
+        # OEIS A001499: 67 950 members, each once, in order, each of the type
+        t = EdgeType((2,) * 6, (2,) * 6)
+        members = list(enumeration._members(t, 6))
+        assert len(set(members)) == len(members) == count_class(t) == 67_950
+        keys = [lex_key(b, 6) for b in members]
+        assert keys == sorted(keys)
+        cells = np.unpackbits(
+            np.array(members, dtype="<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+        )[:, :36].reshape(-1, 6, 6)
+        assert (cells.sum(axis=2) == 2).all() and (cells.sum(axis=1) == 2).all()

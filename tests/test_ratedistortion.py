@@ -524,6 +524,12 @@ class TestExactRnProb:
         rate, book = exact_rn_prob(self.uniform(2), 0, 1.0)
         assert rate == 0.0 and book.graphs == ()
 
+    @pytest.mark.parametrize("eps", [-1e-9, math.nan])
+    def test_negative_or_nan_eps_rejected(self, eps):
+        # the need would exceed the whole mass, so no codebook could meet it
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            exact_rn_prob(self.uniform(3), Fraction(1, 3), eps)
+
     def test_uniform_half_mass(self):
         # each graph has mass 1/16 and d=0 covers exactly itself: 8 codewords
         rate, book = exact_rn_prob(self.uniform(2), 0, 0.5)
