@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -39,6 +40,7 @@ REGULAR_PAIR = {"r": [1, 1], "c": [1, 1]}
 INFEASIBLE = {"r": [2, 0], "c": [2, 0]}
 ZERO_VERTICES = {"r": [], "c": []}
 PERMUTATIONS_3 = {"r": [1, 1, 1], "c": [1, 1, 1]}
+NO_LOOPS_3 = {"n": 3, "adj": [[int(i != j) for j in range(3)] for i in range(3)]}
 # the 1854 derangements of 7 vertices: W = no loops, so the solve enumerates the class
 DERANGEMENTS_7 = {"r": [1] * 7, "c": [1] * 7, "w": {"n": 7, "adj": [[int(i != j) for j in range(7)] for i in range(7)]}}
 
@@ -632,6 +634,34 @@ class TestCoverAndRD:
         assert code == 0
         assert json.loads(out)["upper"]["slack_terms"]["counting_gap"] > 0
 
+    @pytest.mark.parametrize(
+        "spec, xi, rd_sha, cover_sha",
+        [
+            (PERMUTATIONS_3, "1/3", "9a350de5302ca3d2c02f12cc830ecbeacc6842882de7a0d3a347f918b4e8b9ad",
+             "fcf95753498efb0770a83970ae2253bbae81eb07ad8e596d6951c34260960da4"),
+            ({"r": [2, 1, 0], "c": [1, 1, 1]}, "2/3",
+             "1fc1cbc839f0e4c07afef858b1348d6454dfc4c7324b9d1e700efb3533815761",
+             "efc130682445f86619338f5a4be87caa6f3f9102288575f08202a759060a4f7d"),
+            ({**PERMUTATIONS_3, "w": NO_LOOPS_3}, "1/3",
+             "30c876769d90d5f31a2e54d097b04151ec0059e981c72ac6e81e104d2eab8765",
+             "01d757a1eb8bab1a1def14e97cbabe0b428e0487fb97b33d4a92ac73a4ca8658"),
+            ({"r": [2, 1, 1, 0], "c": [1, 1, 1, 1]}, "1/4",
+             "206dcd6024e94c48a80eddbcc1212070ca481c1592caca321096c4f6521da937",
+             "7df835d0b00dc1b88f663b0e0fe9ebe3e2af70d3d911ec2dbc7a94cb150b365a"),
+        ],
+    )
+    def test_rd_bounds_and_cover_pinned_bytes(self, capsys, write_json, spec, xi, rd_sha, cover_sha):
+        # the types of test_ratedistortion.TestRDBoundsOnePass; the sha256 of each stdout is pinned
+        t = write_json(spec)
+        for argv, sha in (
+            (["rd-bounds", "--type", t, "--xi", xi, "--delta", "0.25", "--delta-hat", "0.2"], rd_sha),
+            (["cover", "--type", t, "--xi", xi, "--delta", "0.25"], cover_sha),
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
+
     @pytest.mark.parametrize("spec", [INFEASIBLE, {"r": [1, 1], "c": [1, 0]}])
     @pytest.mark.parametrize("xi", ["0", "1/2"])
     @pytest.mark.parametrize("argv", [("rd-bounds",), ("cover",), ("cover", "--m", "3")])
@@ -640,9 +670,6 @@ class TestCoverAndRD:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "empty class" in captured.err
-
-
-NO_LOOPS_3 = {"n": 3, "adj": [[int(i != j) for j in range(3)] for i in range(3)]}
 
 
 class TestMemberLines:
