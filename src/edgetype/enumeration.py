@@ -333,9 +333,11 @@ def delta_degree_choices(value: int, n: int, delta: float, dens: int) -> list[in
     return [v for v in range(n + 1) if v == value or abs(v - value) < delta * dens]
 
 
-def _delta_types(t: EdgeType, delta: float, dens: int) -> Iterator[EdgeType]:
-    """The admissible types (r~, c~, W) of the δ-class with equal sums,
-    in lexicographic order of (r~, c~)."""
+def _delta_types(
+    t: EdgeType, delta: float, dens: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The admissible degree pairs (r~, c~) of the δ-class with equal sums,
+    in lexicographic order; each class lies under t's W."""
     n = t.n
     r_opts = [delta_degree_choices(t.r[i], n, delta, dens) for i in range(n)]
     c_opts = [delta_degree_choices(t.c[j], n, delta, dens) for j in range(n)]
@@ -343,15 +345,15 @@ def _delta_types(t: EdgeType, delta: float, dens: int) -> Iterator[EdgeType]:
         sr = sum(r_tilde)
         for c_tilde in product(*c_opts):
             if sum(c_tilde) == sr:
-                yield EdgeType(r_tilde, c_tilde, t.w)
+                yield r_tilde, c_tilde
 
 
 def _delta_members(t: EdgeType, delta: float, dens: int, limit: int) -> Iterator[int]:
     """The members of the δ-class as bitmasks, in enumerate_delta_class order."""
     _check_limit(t.n, limit)
     w_rows = _graph_rows(t.w)
-    for tt in _delta_types(t, delta, dens):
-        yield from _enumerate_bits(tt.r, tt.c, w_rows, t.n)
+    for r, c in _delta_types(t, delta, dens):
+        yield from _enumerate_bits(r, c, w_rows, t.n)
 
 
 def enumerate_delta_class(
@@ -367,8 +369,9 @@ def count_delta_class(t: EdgeType, delta: float, dens: int, limit: int = DEFAULT
     """|T_δ(r, c, W)|: the class sizes summed over the admissible (r~, c~),
     each class up to relabelling counted once and weighted by its multiplicity."""
     _check_limit(t.n, limit)
-    classes = Counter(_class_key(tt) for tt in _delta_types(t, delta, dens))
-    return sum(k * count_class(tt, limit=limit) for tt, k in classes.items())
+    complete = t.unrestricted
+    classes = Counter(_class_key(r, c, complete) for r, c in _delta_types(t, delta, dens))
+    return sum(k * count_class(EdgeType(r, c, t.w), limit=limit) for (r, c), k in classes.items())
 
 
 def _conditional_members(

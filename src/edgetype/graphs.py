@@ -67,19 +67,15 @@ class DiGraph:
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> "DiGraph":
-        """Decode a row-major bitmask (bit k = cell (k // n, k % n))."""
-        a = np.zeros(n * n, dtype=np.uint8)
-        for k in range(n * n):
-            a[k] = (bits >> k) & 1
+        """Decode a row-major bitmask (bit k = cell (k // n, k % n)); bits
+        from n*n up are ignored, a negative int read in two's complement."""
+        raw = (bits & ((1 << n * n) - 1)).to_bytes((n * n + 7) // 8, "little")
+        a = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * n, bitorder="little")
         return cls(a.reshape(n, n))
 
     def to_bits(self) -> int:
-        bits = 0
-        flat = self._adj.reshape(-1)
-        for k in range(flat.size):
-            if flat[k]:
-                bits |= 1 << k
-        return bits
+        packed = np.packbits(self._adj, axis=None, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def edge_count(self) -> int:
         return int(self._adj.sum())

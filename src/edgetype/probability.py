@@ -19,7 +19,7 @@ import numpy as np
 
 from .enumeration import DEFAULT_LIMIT, enumerate_class
 from .graphs import DiGraph
-from .maxent import ProductRandomGraph, solve_maxent
+from .maxent import LN_FLOAT_MAX, ProductRandomGraph, solve_maxent
 from .typealg import EdgeType
 
 __all__ = [
@@ -256,9 +256,10 @@ def sanov_bounds(
 ) -> tuple[float, float, float | None]:
     """(lower, upper, exact) for Pr(F in union of the listed classes).
 
-    upper = exp(2n ln(n+1) - min KL); lower replaces the universal
-    constant with the largest measured counting gap among the listed
-    types, which keeps the bound valid on enumerable instances.
+    upper = exp(2n ln(n+1) - min KL), inf past the float range; lower
+    replaces the universal constant with the largest measured counting gap
+    among the listed types, which keeps the bound valid on enumerable
+    instances.
     """
     if not types:
         raise ValueError("need at least one type")
@@ -291,7 +292,8 @@ def sanov_bounds(
     # max_gap plays the role of gamma * n * ln(n); the theorem's exponent
     # is 4x that, which only loosens a valid lower bound.
     lower = math.exp(-4.0 * max_gap - min_kl)
-    upper = math.exp(2.0 * n * math.log(n + 1) - min_kl)
+    exponent = 2.0 * n * math.log(n + 1) - min_kl
+    upper = math.inf if exponent > LN_FLOAT_MAX else math.exp(exponent)
     return lower, upper, exact
 
 

@@ -13,7 +13,6 @@ where the definitions call for them.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import random
@@ -25,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .enumeration import DEFAULT_LIMIT, _delta_members, class_nonempty, count_class, enumerate_class
-from .graphs import DiGraph, DistortionValue, distortion
+from .graphs import DiGraph, DistortionValue, density, distortion
 from .maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
 from .probability import graph_prob
 from .typealg import EdgeType, _class_key
@@ -62,6 +61,13 @@ class Codebook:
             raise ValueError("codebook contains duplicates")
 
 
+def _codebook(
+    n: int, codewords: Iterable[int], provenance: str, seed: int | None = None, m_target: int | None = None
+) -> Codebook:
+    """The codebook of the graphs on [n] with these row-major bitmasks."""
+    return Codebook(tuple(DiGraph.from_bits(n, bits) for bits in codewords), seed, m_target, provenance)
+
+
 @dataclass(frozen=True)
 class RDReport:
     kind: str
@@ -73,11 +79,7 @@ class RDReport:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, str, int)):
         return Fraction(x)
     if isinstance(x, DistortionValue):
         return x.as_fraction()
@@ -85,50 +87,60 @@ def _as_fraction(x) -> Fraction:
 
 
 def omega_iter(xi, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Lazy scan of all (d_r, d_c) with entries in [0, floor(Xi*n)]."""
+    """Lazy scan of all (d_r, d_c) with entries in [0, min(floor(Xi*n), n)]:
+    no vertex differs in more than its n cells, so Xi > 1 adds no budget."""
     xf = _as_fraction(xi)
     if xf < 0:
         raise ValueError("Xi must be nonnegative")
-    k = int(xf * n)  # floor for nonnegative rationals
-    rng = range(k + 1)
+    rng = range(min(int(xf * n), n) + 1)  # int() floors nonnegative rationals
     for d_r in product(rng, repeat=n):
         for d_c in product(rng, repeat=n):
             yield d_r, d_c
 
 
-def sign_variants(t: EdgeType, d_r: Sequence[int], d_c: Sequence[int]) -> list[EdgeType]:
-    """All types (r +/- d_r, c +/- d_c) with per-coordinate signs, each
-    once (a zero budget has one sign), filtered to degrees in [0, n] with
-    equal totals."""
+def sign_variants(
+    t: EdgeType, d_r: Sequence[int], d_c: Sequence[int]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The degree pairs (r +/- d_r, c +/- d_c) with per-coordinate signs,
+    each once (a zero budget has one sign), filtered to degrees in [0, n]
+    with equal totals; each is a type under t's W."""
     n = t.n
-    r_opts = [sorted({t.r[i] + d_r[i], t.r[i] - d_r[i]}) for i in range(n)]
-    c_opts = [sorted({t.c[j] + d_c[j], t.c[j] - d_c[j]}) for j in range(n)]
-    out: list[EdgeType] = []
-    for r in product(*r_opts):
-        if any(v < 0 or v > n for v in r):
-            continue
-        sr = sum(r)
-        for c in product(*c_opts):
-            if any(v < 0 or v > n for v in c):
-                continue
-            if sum(c) != sr:
-                continue
-            out.append(EdgeType(r, c, t.w))
-    return out
+
+    def options(x: int, d: int) -> list[int]:
+        return [v for v in sorted({x + d, x - d}) if 0 <= v <= n]
+
+    cols: dict[int, list[tuple[int, ...]]] = {}  # by total
+    for c in product(*map(options, t.c, d_c)):
+        cols.setdefault(sum(c), []).append(c)
+    return [(r, c) for r in product(*map(options, t.r, d_r)) for c in cols.get(sum(r), ())]
 
 
-def _entropy_of(t: EdgeType, tol: float | None, limit: int = DEFAULT_LIMIT) -> float:
-    _, _, report = solve_maxent(t, tol=tol, limit=limit)
-    return report.entropy_nats
+def _type_facts(t: EdgeType, tol: float | None, limit: int) -> tuple[float, float] | None:
+    """(H(F_T), measured counting gap floored at 0) of t's class, or None
+    when it is empty.  The gap (H - ln count) / (n ln n) is the enumerable
+    stand-in for the universal counting constant."""
+    if not class_nonempty(t, limit=limit):
+        return None
+    h = solve_maxent(t, tol=tol, limit=limit)[2].entropy_nats
+    return h, max(0.0, counting_gap(h, count_class(t, limit=limit), t.n))
 
 
-def _measured_gap(t: EdgeType, h: float, limit: int = DEFAULT_LIMIT) -> float:
-    """(H - ln count) / (n ln n), floored at 0: the enumerable stand-in
-    for the universal counting constant."""
-    count = count_class(t, limit=limit)
-    if count == 0:
-        raise ValueError("empty class has no measured gap")
-    return max(0.0, counting_gap(h, count, t.n))
+def _class_table(w: DiGraph, tol: float | None, limit: int):
+    """`_type_facts` of the degree pairs (r, c) under W met by one call,
+    each class up to relabelling analysed once, on its representative
+    `_class_key(r, c, complete)`: with W complete the facts do not depend on
+    vertex labels.  An EdgeType is built only for a class not met before.
+    Lives for one call, so repeated commands repeat the work."""
+    complete = bool(w.adj.all())
+    facts: dict = {}
+
+    def lookup(r: tuple[int, ...], c: tuple[int, ...]) -> tuple[float, float] | None:
+        key = _class_key(r, c, complete)
+        if key not in facts:
+            facts[key] = _type_facts(EdgeType(*key, w), tol, limit)
+        return facts[key]
+
+    return lookup
 
 
 def delta_class_cardinality_bounds(
@@ -140,46 +152,28 @@ def delta_class_cardinality_bounds(
 
     with the measured counting gap in place of the universal constant; at dens = 0, T_delta = T.
     """
-    if not class_nonempty(t, limit=limit):
+    facts = _type_facts(t, tol, limit)
+    if facts is None:
         raise ValueError("empty class")
     n = t.n
-    h = _entropy_of(t, tol, limit)
-    gap = _measured_gap(t, h, limit=limit)
+    h, gap = facts
     lnn = math.log(n) if n > 1 else 0.0
     lower = h / n**2 - gap * lnn / n
     upper = h / n**2 + binary_entropy(delta) + math.log(max(n * dens, 1)) / n**2
     return lower, upper
 
 
-class _TypeTable:
-    """Emptiness, entropy and measured counting gap of the types met by
-    one scan of Omega, each computed once per class up to relabelling, on
-    its representative `_class_key(tt)`: with W complete the results do not
-    depend on vertex labels.  Lives for one call, so repeated commands
-    repeat the work."""
-
-    def __init__(self, tol: float | None, limit: int):
-        key = functools.cache(_class_key)
-
-        def by_class(fn):
-            fn = functools.cache(fn)
-            return lambda tt: fn(key(tt))
-
-        self.nonempty = by_class(lambda tt: class_nonempty(tt, limit=limit))
-        self.entropy = entropy = by_class(lambda tt: _entropy_of(tt, tol, limit))
-        self.gap = by_class(lambda tt: _measured_gap(tt, entropy(tt), limit))
-
-
-def _covering_scan(t: EdgeType, xi, types: _TypeTable) -> tuple[float, float, bool, float]:
+def _covering_scan(t: EdgeType, xi, facts, limit: int) -> tuple[float, float, bool, float]:
     """Max over distortion budgets and sign variants of the entropy
-    difference H(variant) - H(distortion type), per n^2 cells.
+    difference H(variant) - H(distortion type), per n^2 cells, reading
+    each type's facts from the call's `_class_table`.
 
     Returns (max_diff_per_cell, max_measured_gap, density_preserved,
     max_distortion_entropy).  Infeasible variants and infeasible
     distortion types are skipped; the zero budget always contributes t
     itself against the zero type.
     """
-    if not types.nonempty(t):
+    if not class_nonempty(t, limit=limit):
         raise ValueError("empty class")
     n = t.n
     dens = t.density()
@@ -188,19 +182,19 @@ def _covering_scan(t: EdgeType, xi, types: _TypeTable) -> tuple[float, float, bo
     density_ok = True
     h_dist_max = -math.inf
     for d_r, d_c in omega_iter(xi, n):
-        dist_type = EdgeType(d_r, d_c, t.w)
-        if not types.nonempty(dist_type):
+        dist = facts(d_r, d_c)
+        if dist is None:
             continue
-        h_dist = types.entropy(dist_type)
+        h_dist, gap = dist
         h_dist_max = max(h_dist_max, h_dist)
-        max_gap = max(max_gap, types.gap(dist_type))
-        for variant in sign_variants(t, d_r, d_c):
-            if not types.nonempty(variant):
+        max_gap = max(max_gap, gap)
+        for r, c in sign_variants(t, d_r, d_c):
+            variant = facts(r, c)
+            if variant is None:
                 continue
-            max_gap = max(max_gap, types.gap(variant))
-            if variant.density() != dens:
-                density_ok = False
-            best = max(best, (types.entropy(variant) - h_dist) / n**2)
+            max_gap = max(max_gap, variant[1])
+            density_ok = density_ok and density(r, c) == dens
+            best = max(best, (variant[0] - h_dist) / n**2)
     return best, max_gap, density_ok, h_dist_max
 
 
@@ -233,13 +227,14 @@ def _upper_report(t: EdgeType, xi, delta: float, dens: int, scan) -> RDReport:
 
 
 def _lower_report(
-    t: EdgeType, xi, delta: float, delta_hat: float, dens: int, types: _TypeTable, h_dist_max: float
+    t: EdgeType, xi, delta: float, delta_hat: float, dens: int,
+    t_facts: tuple[float, float], h_dist_max: float,
 ) -> RDReport:
     """The converse needs min over distortion types of H(t) - H(type),
     i.e. the largest distortion-type entropy, which the scan returns."""
     n = t.n
-    best = (types.entropy(t) - h_dist_max) / n**2
-    gap = types.gap(t)
+    h_t, gap = t_facts
+    best = (h_t - h_dist_max) / n**2
     xf = _as_fraction(xi)
     lnn = math.log(n) if n > 1 else 0.0
     hoeffding_ok = 4.0 * n * math.exp(-2.0 * dens * dens * delta_hat * delta_hat / n) < 0.5
@@ -299,21 +294,18 @@ def rd_bounds(
     is solved and counted once."""
     if dens is None:
         dens = t.density()
-    types = _TypeTable(tol, limit)
-    scan = _covering_scan(t, xi, types)
+    facts = _class_table(t.w, tol, limit)
+    scan = _covering_scan(t, xi, facts, limit)
     upper = _upper_report(t, xi, delta, dens, scan)
-    return upper, _lower_report(t, xi, delta, delta_hat, dens, types, scan[3])
+    return upper, _lower_report(t, xi, delta, delta_hat, dens, facts(t.r, t.c), scan[3])
 
 
 def _cover_pool(t: EdgeType, xi, delta: float, dens: int, limit: int) -> list[int]:
     """Union over distortion budgets of the δ-classes of all sign
-    variants, as sorted distinct bitmasks."""
-    return sorted({
-        bits
-        for d_r, d_c in omega_iter(xi, t.n)
-        for variant in sign_variants(t, d_r, d_c)
-        for bits in _delta_members(variant, delta, dens, limit)
-    })
+    variants, each distinct variant enumerated once, as sorted distinct bitmasks."""
+    variants = {v for d_r, d_c in omega_iter(xi, t.n) for v in sign_variants(t, d_r, d_c)}
+    classes = (_delta_members(EdgeType(r, c, t.w), delta, dens, limit) for r, c in variants)
+    return sorted({bits for members in classes for bits in members})
 
 
 def lemma_codebook_size(
@@ -322,7 +314,7 @@ def lemma_codebook_size(
     """The covering lemma's (deliberately loose) codebook size: e to the
     upper bound's exponent before its division by n^2."""
     n = t.n
-    diff, gap, _, _ = _covering_scan(t, xi, _TypeTable(tol, limit))
+    diff, gap, _, _ = _covering_scan(t, xi, _class_table(t.w, tol, limit), limit)
     return math.exp(sum(_covering_terms(n, xi, delta, dens, gap).values(), diff * n**2))
 
 
@@ -349,20 +341,12 @@ def build_cover_random(
     if m_target is None:
         m_target = math.ceil(lemma_codebook_size(t, xi, delta, dens, tol, limit))
     if m_target >= POOL_DRAW_CAP or m_target >= len(pool) * 64:
-        return Codebook(
-            graphs=tuple(DiGraph.from_bits(t.n, bits) for bits in pool),
-            seed=None,
-            m_target=m_target,
-            provenance=f"exhaustive pool of {len(pool)} (target M {m_target} saturates it)",
-        )
+        provenance = f"exhaustive pool of {len(pool)} (target M {m_target} saturates it)"
+        return _codebook(t.n, pool, provenance, m_target=m_target)
     rng = random.Random(seed)
     chosen = sorted({pool[rng.randrange(len(pool))] for _ in range(m_target)})
-    return Codebook(
-        graphs=tuple(DiGraph.from_bits(t.n, bits) for bits in chosen),
-        seed=seed,
-        m_target=m_target,
-        provenance=f"{m_target} uniform draws from pool of {len(pool)}, seed {seed}",
-    )
+    provenance = f"{m_target} uniform draws from pool of {len(pool)}, seed {seed}"
+    return _codebook(t.n, chosen, provenance, seed, m_target)
 
 
 def verify_cover(
@@ -524,7 +508,7 @@ def exact_rn(
     Returns (rate in bits per potential edge, optimal codebook)."""
     graphs = sorted(set(source), key=DiGraph.to_bits)
     if not graphs:
-        return 0.0, Codebook(graphs=(), seed=None, m_target=0, provenance="empty source")
+        return 0.0, _codebook(0, (), "empty source", m_target=0)
     n = graphs[0].n
     _check_oracle_n(n, limit)
     thr = _as_fraction(d)
@@ -533,14 +517,8 @@ def exact_rn(
     if not cands:
         raise ValueError("no candidate covers anything")
     chosen = _smallest_cover(cands, [1.0] * len(source_bits), len(source_bits))
-    book = Codebook(
-        graphs=tuple(DiGraph.from_bits(n, hb) for hb in chosen),
-        seed=None,
-        m_target=None,
-        provenance=f"exact set cover over {len(cands)} candidate coverage patterns",
-    )
-    rate = math.log2(len(chosen)) / n**2
-    return rate, book
+    book = _codebook(n, chosen, f"exact set cover over {len(cands)} candidate coverage patterns")
+    return math.log2(len(chosen)) / n**2, book
 
 
 def exact_rn_prob(
@@ -557,13 +535,8 @@ def exact_rn_prob(
     support = [i for i, w in enumerate(weights) if w > 0]
     need = sum(weights[i] for i in support) - eps
     if need <= 0:
-        return 0.0, Codebook(graphs=(), seed=None, m_target=0, provenance="eps covers everything")
+        return 0.0, _codebook(n, (), "eps covers everything", m_target=0)
     cands = _coverage_masks(support, n, thr)  # graph i has bits i
     best = _smallest_cover(cands, [weights[i] for i in support], need)
-    book = Codebook(
-        graphs=tuple(DiGraph.from_bits(n, hb) for hb in best),
-        seed=None,
-        m_target=None,
-        provenance=f"exact weighted partial cover, eps={eps}",
-    )
+    book = _codebook(n, best, f"exact weighted partial cover, eps={eps}")
     return math.log2(len(best)) / n**2, book

@@ -364,6 +364,15 @@ class TestProbability:
         assert got["exact"] == pytest.approx(3 / 16)
         assert got["lower"] <= got["exact"] <= got["upper"]
 
+    def test_sanov_upper_beyond_float_range_is_infinity(self, capsys, write_json):
+        # e^{2n ln(n+1)} at n = 120 overflows a float; it is no failure to converge
+        t = write_json({"r": [60] * 120, "c": [60] * 120})
+        params = write_json({"a": [0] * 120, "b": [0] * 120})
+        code = main(["sanov", "--params", params, "--types", t])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert '"upper": Infinity' in captured.out
+
     def test_inf_params_parsed(self, capsys, write_json):
         params = {"a": ["-inf", "inf"], "b": [0, "inf"]}
         t = write_json({"r": [1, 0], "c": [1, 0]})
@@ -661,6 +670,21 @@ class TestCoverAndRD:
             captured = capsys.readouterr()
             assert code == 0 and captured.err == ""
             assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
+
+    def test_xi_above_one_scans_the_budgets_of_xi_one(self, capsys, write_json):
+        # no distortion exceeds 1: the budgets stop at n, the slack terms keep Xi
+        t = write_json(PERMUTATIONS_3)
+        reports = {}
+        for xi in ("1", "5"):
+            code, out = run(capsys, "rd-bounds", "--type", t, "--xi", xi)
+            assert code == 0
+            reports[xi] = json.loads(out)
+        for kind in ("upper", "lower"):
+            terms = [reports[xi][kind]["slack_terms"] for xi in ("1", "5")]
+            assert terms[0]["entropy_difference"] == terms[1]["entropy_difference"]
+            assert terms[0]["omega_count"] != terms[1]["omega_count"]
+        code, out = run(capsys, "cover", "--type", t, "--xi", "5")
+        assert code == 0 and json.loads(out)["covers"] is True
 
     @pytest.mark.parametrize("spec", [INFEASIBLE, {"r": [1, 1], "c": [1, 0]}])
     @pytest.mark.parametrize("xi", ["0", "1/2"])

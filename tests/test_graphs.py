@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,17 @@ class TestDiGraph:
     def test_bits_roundtrip(self):
         for g in all_graphs(2):
             assert DiGraph.from_bits(2, g.to_bits()) == g
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_codecs_match_cell_loops(self, n):
+        # seeded ints, negative and beyond n*n bits included, against a loop over the cells
+        rng = random.Random(n)
+        for _ in range(300):
+            bits = rng.randrange(-(1 << n * n + 5), 1 << n * n + 5)
+            cells = [(bits >> k) & 1 for k in range(n * n)]
+            g = DiGraph.from_bits(n, bits)
+            assert g.adj.shape == (n, n) and g.adj.reshape(-1).tolist() == cells
+            assert g.to_bits() == sum(v << k for k, v in enumerate(cells))
 
     def test_hash_eq(self):
         a = DiGraph([[1, 0], [0, 1]])

@@ -12,12 +12,13 @@ from edgetype import ratedistortion
 from edgetype.enumeration import (
     EnumerationLimitError,
     class_nonempty,
+    count_class,
     enumerate_class,
     enumerate_delta_class,
     partition_by_type,
 )
 from edgetype.graphs import DiGraph, distortion
-from edgetype.maxent import ProductRandomGraph, binary_entropy
+from edgetype.maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
 from edgetype.probability import FamilyDParams, family_d_graph
 from edgetype.ratedistortion import (
     Codebook,
@@ -48,6 +49,11 @@ def seeded_types(n, count, w_density=1.0):
     return types
 
 
+def entropy(t, tol=None):
+    """H(F_T) of t's class, solved in t's own labels."""
+    return solve_maxent(t, tol=tol)[2].entropy_nats
+
+
 class TestOmega:
     def test_zero_budget_is_singleton(self):
         assert list(omega_iter(0, 3)) == [((0, 0, 0), (0, 0, 0))]
@@ -69,19 +75,23 @@ class TestOmega:
         with pytest.raises(ValueError):
             list(omega_iter(-1, 2))
 
+    @pytest.mark.parametrize("xi", [Fraction(4, 3), 5])
+    def test_budget_capped_at_n(self, xi):
+        # no distortion exceeds 1, so a budget above n per vertex adds nothing
+        assert list(omega_iter(xi, 3)) == list(omega_iter(1, 3))
+
 
 class TestSignVariants:
     def test_zero_budget_returns_type_itself(self):
         t = EdgeType((2, 1, 0), (1, 1, 1))
-        vs = sign_variants(t, (0, 0, 0), (0, 0, 0))
-        assert [(v.r, v.c) for v in vs] == [(t.r, t.c)]
+        assert sign_variants(t, (0, 0, 0), (0, 0, 0)) == [(t.r, t.c)]
 
     def test_example_counts_and_totals(self):
         t = EdgeType((1, 1), (1, 1))
         vs = sign_variants(t, (1, 0), (1, 0))
-        assert {(v.r, v.c) for v in vs} == {((0, 1), (0, 1)), ((2, 1), (2, 1))}
-        for v in vs:
-            assert sum(v.r) == sum(v.c)
+        assert set(vs) == {((0, 1), (0, 1)), ((2, 1), (2, 1))}
+        for r, c in vs:
+            assert sum(r) == sum(c)
 
     def test_bounded_by_sign_choices(self):
         t = EdgeType((1, 1, 1), (1, 1, 1))
@@ -100,14 +110,14 @@ class TestSignVariants:
             c = tuple(x + s * d for x, s, d in zip(t.c, signs[t.n :], d_c))
             if all(0 <= v <= t.n for v in r + c) and sum(r) == sum(c):
                 want.add((r, c))
-        got = [(v.r, v.c) for v in sign_variants(t, d_r, d_c)]
+        got = sign_variants(t, d_r, d_c)
         assert len(got) == len(set(got)) and set(got) == want
 
     def test_out_of_range_dropped(self):
         t = EdgeType((2, 2), (2, 2))
         vs = sign_variants(t, (1, 1), (1, 1))
-        for v in vs:
-            assert all(0 <= x <= 2 for x in v.r + v.c)
+        for r, c in vs:
+            assert all(0 <= x <= 2 for x in r + c)
 
 
 class TestDeltaClassCardinalityBounds:
@@ -165,8 +175,8 @@ def high_prob_set_lower(
     """
     n = t.n
     vacuous = 4.0 * n * math.exp(-2.0 * dens * dens * delta_hat * delta_hat / n) > eta / 2.0
-    h = ratedistortion._entropy_of(t, tol)
-    gap = ratedistortion._measured_gap(t, h, limit=limit)
+    h = entropy(t, tol)
+    gap = max(0.0, counting_gap(h, count_class(t, limit=limit), n))
     lnn = math.log(n) if n > 1 else 0.0
     bound = (
         h / n**2
@@ -217,7 +227,7 @@ class TestCoveringBound:
     def test_lemma_size_keeps_the_lemma_summation_order(self, t, xi, delta):
         # cover's m_target is ceil of this value, so it must not move by an ulp
         n, dens = t.n, t.density()
-        diff, gap, _, _ = ratedistortion._covering_scan(t, xi, ratedistortion._TypeTable(None, 6))
+        diff, gap, _, _ = ratedistortion._covering_scan(t, xi, ratedistortion._class_table(t.w, None, 6), 6)
         lnn = math.log(n) if n > 1 else 0.0
         exponent = (
             diff * n**2
@@ -336,9 +346,9 @@ class TestRDBoundsOnePass:
     @pytest.mark.parametrize("t,xi", TYPES)
     def test_lower_is_min_over_distortion_types(self, t, xi):
         # the converse's entropy term, recomputed one distortion type at a time
-        h_t = ratedistortion._entropy_of(t, None)
+        h_t = entropy(t)
         dist_types = (EdgeType(d_r, d_c, t.w) for d_r, d_c in omega_iter(xi, t.n))
-        diffs = [(h_t - ratedistortion._entropy_of(d, None)) / t.n**2 for d in dist_types if class_nonempty(d)]
+        diffs = [(h_t - entropy(d)) / t.n**2 for d in dist_types if class_nonempty(d)]
         assert rd_lower(t, xi, 0.25, 0.2).slack_terms["entropy_difference"] == min(diffs)
 
     @pytest.mark.parametrize("t,xi", TYPES)
@@ -360,18 +370,35 @@ class TestRDBoundsOnePass:
         for calls in seen.values():
             assert calls and len(calls) == len(set(calls))
 
+    @pytest.mark.parametrize("t,xi", TYPES)
+    def test_one_edge_type_per_class(self, t, xi, monkeypatch):
+        # the scan walks degree tuples and builds an EdgeType only for a class not met before
+        def key(r, c):
+            return (tuple(sorted(r)), tuple(sorted(c))) if t.unrestricted else (r, c)
+
+        built = []
+
+        def recorded(r, c, w=None):
+            built.append(key(r, c))
+            return EdgeType(r, c, w)
+
+        monkeypatch.setattr(ratedistortion, "EdgeType", recorded)
+        rd_bounds(t, xi, 0.25, 0.2)
+        met = {key(r, c) for d in omega_iter(xi, t.n) for r, c in [d, *sign_variants(t, *d)]}
+        assert built and len(built) == len(set(built)) and set(built) <= met
+
 
 def scan_without_memo(t, xi):
     """The upper and lower entropy terms and the density flag, solving
     every type where the scan of Omega meets it."""
-    n, h = t.n, lambda tt: ratedistortion._entropy_of(tt, None)
+    n, h = t.n, entropy
     upper, h_dist_max, density_ok = -math.inf, -math.inf, True
     for d_r, d_c in omega_iter(xi, n):
         d = EdgeType(d_r, d_c, t.w)
         if not class_nonempty(d):
             continue
         h_dist_max = max(h_dist_max, h(d))
-        for v in sign_variants(t, d_r, d_c):
+        for v in (EdgeType(r, c, t.w) for r, c in sign_variants(t, d_r, d_c)):
             if class_nonempty(v):
                 density_ok &= v.density() == t.density()
                 upper = max(upper, (h(v) - h(d)) / n**2)
