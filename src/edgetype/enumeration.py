@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_LIMIT = 6
+MEMO_SIZE = 4096  # entries of each process-wide memo of per-class facts
 
 
 class EnumerationLimitError(RuntimeError):
@@ -225,6 +226,16 @@ def count_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> int:
     return 0 if first is None else count(0, first)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _class_count(r: tuple[int, ...], c: tuple[int, ...], w_bits: int, limit: int) -> int:
+    """`count_class` of (r, c) under the W on n = len(r) vertices whose
+    row-major bitmask is w_bits, memoized per process.  Callers pass the
+    class representative `_class_key(r, c, complete)`, so a class met again
+    in any labelling (W complete) is not counted again.  An int W and tuple
+    degrees keep a hit free of numpy; a refused count raises again."""
+    return count_class(EdgeType(r, c, DiGraph.from_bits(len(r), w_bits)), limit=limit)
+
+
 def class_nonempty(t: EdgeType, limit: int = DEFAULT_LIMIT) -> bool:
     """Whether T(r, c, W) has a member.  Gale-Ryser decides it when W is
     complete; otherwise a failed necessary condition certifies emptiness,
@@ -367,11 +378,12 @@ def enumerate_delta_class(
 
 def count_delta_class(t: EdgeType, delta: float, dens: int, limit: int = DEFAULT_LIMIT) -> int:
     """|T_δ(r, c, W)|: the class sizes summed over the admissible (r~, c~),
-    each class up to relabelling counted once and weighted by its multiplicity."""
+    each class up to relabelling counted once (and read from `_class_count`)
+    and weighted by its multiplicity."""
     _check_limit(t.n, limit)
-    complete = t.unrestricted
+    complete, w_bits = t.unrestricted, t.w.to_bits()
     classes = Counter(_class_key(r, c, complete) for r, c in _delta_types(t, delta, dens))
-    return sum(k * count_class(EdgeType(r, c, t.w), limit=limit) for (r, c), k in classes.items())
+    return sum(k * _class_count(r, c, w_bits, limit) for (r, c), k in classes.items())
 
 
 def _conditional_members(

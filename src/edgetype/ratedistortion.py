@@ -18,12 +18,20 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .enumeration import DEFAULT_LIMIT, _delta_members, class_nonempty, count_class, enumerate_class
+from .enumeration import (
+    DEFAULT_LIMIT,
+    MEMO_SIZE,
+    _class_count,
+    _delta_members,
+    class_nonempty,
+    enumerate_class,
+)
 from .graphs import DiGraph, DistortionValue, density, distortion
 from .maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
 from .probability import graph_prob
@@ -115,32 +123,43 @@ def sign_variants(
     return [(r, c) for r in product(*map(options, t.r, d_r)) for c in cols.get(sum(r), ())]
 
 
-def _type_facts(t: EdgeType, tol: float | None, limit: int) -> tuple[float, float] | None:
-    """(H(F_T), measured counting gap floored at 0) of t's class, or None
-    when it is empty.  The gap (H - ln count) / (n ln n) is the enumerable
-    stand-in for the universal counting constant."""
+@lru_cache(maxsize=MEMO_SIZE)
+def _class_facts(
+    r: tuple[int, ...], c: tuple[int, ...], w_bits: int, tol: float | None, limit: int
+) -> tuple[float, float] | None:
+    """(H(F_T), measured counting gap floored at 0) of the type (r, c)
+    under the W on n = len(r) vertices whose row-major bitmask is w_bits,
+    or None when its class is empty.  The gap (H - ln count) / (n ln n) is
+    the enumerable stand-in for the universal counting constant.
+
+    One bounded memo per process, shared by every reader and every call.
+    H is solved on (r, c) as given; the scan's readers pass the class
+    representative (`_facts_reader`), so with W complete a class met in
+    any labelling is analysed once.  Emptiness and the count do not
+    depend on labels: the count is read from `enumeration._class_count`
+    under the representative, so it is shared by every labelling.  Each
+    entry is the value a fresh computation gives, so output does not
+    depend on what the memo holds; a raised error is not kept and is
+    raised again on the next call."""
+    n = len(r)
+    t = EdgeType(r, c, DiGraph.from_bits(n, w_bits))
     if not class_nonempty(t, limit=limit):
         return None
     h = solve_maxent(t, tol=tol, limit=limit)[2].entropy_nats
-    return h, max(0.0, counting_gap(h, count_class(t, limit=limit), t.n))
+    count = _class_count(*_class_key(r, c, w_bits == (1 << n * n) - 1), w_bits, limit)
+    return h, max(0.0, counting_gap(h, count, n))
 
 
-def _class_table(w: DiGraph, tol: float | None, limit: int):
-    """`_type_facts` of the degree pairs (r, c) under W met by one call,
-    each class up to relabelling analysed once, on its representative
-    `_class_key(r, c, complete)`: with W complete the facts do not depend on
-    vertex labels.  An EdgeType is built only for a class not met before.
-    Lives for one call, so repeated commands repeat the work."""
-    complete = bool(w.adj.all())
-    facts: dict = {}
+def _facts_reader(w: DiGraph, tol: float | None, limit: int):
+    """`_class_facts` of the degree pairs (r, c) under W, looked up by the
+    class representative; an EdgeType is built only for a class the memo
+    does not hold."""
+    complete, w_bits = bool(w.adj.all()), w.to_bits()
 
-    def lookup(r: tuple[int, ...], c: tuple[int, ...]) -> tuple[float, float] | None:
-        key = _class_key(r, c, complete)
-        if key not in facts:
-            facts[key] = _type_facts(EdgeType(*key, w), tol, limit)
-        return facts[key]
+    def facts(r: tuple[int, ...], c: tuple[int, ...]) -> tuple[float, float] | None:
+        return _class_facts(*_class_key(r, c, complete), w_bits, tol, limit)
 
-    return lookup
+    return facts
 
 
 def delta_class_cardinality_bounds(
@@ -151,8 +170,9 @@ def delta_class_cardinality_bounds(
         H/n^2 - gap*ln(n)/n  <=  (1/n^2) ln |T_delta|  <=  H/n^2 + H_b(delta) + ln max(n*dens, 1)/n^2
 
     with the measured counting gap in place of the universal constant; at dens = 0, T_delta = T.
+    H is solved in t's own labels; the count is shared with `count_delta_class`.
     """
-    facts = _type_facts(t, tol, limit)
+    facts = _class_facts(t.r, t.c, t.w.to_bits(), tol, limit)
     if facts is None:
         raise ValueError("empty class")
     n = t.n
@@ -163,17 +183,20 @@ def delta_class_cardinality_bounds(
     return lower, upper
 
 
-def _covering_scan(t: EdgeType, xi, facts, limit: int) -> tuple[float, float, bool, float]:
+def _covering_scan(t: EdgeType, xi, facts) -> tuple[float, float, bool, float]:
     """Max over distortion budgets and sign variants of the entropy
     difference H(variant) - H(distortion type), per n^2 cells, reading
-    each type's facts from the call's `_class_table`.
+    each type's facts through `facts` (a `_facts_reader` under t's W), so
+    a class the memo still holds from any earlier call is neither tested,
+    solved nor counted again.
 
     Returns (max_diff_per_cell, max_measured_gap, density_preserved,
     max_distortion_entropy).  Infeasible variants and infeasible
     distortion types are skipped; the zero budget always contributes t
-    itself against the zero type.
+    itself against the zero type, so t's facts, read first to refuse an
+    empty class, cost no extra work.
     """
-    if not class_nonempty(t, limit=limit):
+    if facts(t.r, t.c) is None:
         raise ValueError("empty class")
     n = t.n
     dens = t.density()
@@ -290,12 +313,14 @@ def rd_bounds(
     tol: float | None = None,
     limit: int = DEFAULT_LIMIT,
 ) -> tuple[RDReport, RDReport]:
-    """(rd_upper, rd_lower) from one scan of Omega, in which every type
-    is solved and counted once."""
+    """(rd_upper, rd_lower) from one scan of Omega.  The facts of every
+    class the scan meets, t's included, come from the `_class_facts` memo:
+    a class is solved and counted only when the memo does not hold it, so
+    a repeated call solves, counts and builds nothing."""
     if dens is None:
         dens = t.density()
-    facts = _class_table(t.w, tol, limit)
-    scan = _covering_scan(t, xi, facts, limit)
+    facts = _facts_reader(t.w, tol, limit)
+    scan = _covering_scan(t, xi, facts)
     upper = _upper_report(t, xi, delta, dens, scan)
     return upper, _lower_report(t, xi, delta, delta_hat, dens, facts(t.r, t.c), scan[3])
 
@@ -314,7 +339,7 @@ def lemma_codebook_size(
     """The covering lemma's (deliberately loose) codebook size: e to the
     upper bound's exponent before its division by n^2."""
     n = t.n
-    diff, gap, _, _ = _covering_scan(t, xi, _class_table(t.w, tol, limit), limit)
+    diff, gap, _, _ = _covering_scan(t, xi, _facts_reader(t.w, tol, limit))
     return math.exp(sum(_covering_terms(n, xi, delta, dens, gap).values(), diff * n**2))
 
 

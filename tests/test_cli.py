@@ -407,6 +407,21 @@ class TestDeltaAndConditional:
         _, wide = run(capsys, "delta", "--type", t, "--delta", "10", "--dens", "1")
         assert json.loads(wide)["count_delta"] == 512
 
+    def test_delta_counts_each_class_once(self, capsys, write_json, monkeypatch, cold_memo):
+        # the delta-class and its cardinality bounds share one count per class
+        counted = []
+
+        def recorded(t, *args, **kwargs):
+            counted.append((tuple(sorted(t.r)), tuple(sorted(t.c))))
+            return count(t, *args, **kwargs)
+
+        count = enumeration.count_class
+        monkeypatch.setattr(enumeration, "count_class", recorded)
+        t = write_json({"r": [3, 3, 2, 1, 1, 0], "c": [2, 2, 2, 2, 1, 1]})
+        code, _ = run(capsys, "delta", "--type", t, "--delta", "0.25")
+        assert code == 0
+        assert counted and len(counted) == len(set(counted))
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -481,6 +496,20 @@ class TestDistortion:
         assert code == 0
         got = json.loads(out)
         assert got["distortion"] == "1/2" and got["value"] == 0.5
+
+
+# Commands that fill the memo of class facts with other types, relabellings
+# of the pinned types, a restricted W and other tolerances.
+MEMO_WARMERS = [
+    ("rd-bounds", {"r": [2, 2, 1], "c": [1, 2, 2]}, "--xi", "2/3"),
+    ("rd-bounds", {"r": [0, 1, 2], "c": [1, 1, 1]}, "--xi", "2/3", "--tol", "1e-6"),
+    ("rd-bounds", {"r": [1, 0, 2], "c": [1, 1, 1]}, "--xi", "1/3"),
+    ("rd-bounds", {"r": [0, 1, 1, 2], "c": [1, 1, 1, 1]}, "--xi", "1/4"),
+    ("rd-bounds", {"r": [2, 1, 1], "c": [1, 2, 1], "w": NO_LOOPS_3}, "--xi", "1/3"),
+    ("rd-bounds", {**PERMUTATIONS_3, "w": {"n": 3, "adj": [[1, 1, 0], [0, 1, 1], [1, 0, 1]]}}, "--xi", "2/3"),
+    ("cover", {"r": [1, 2, 0], "c": [1, 1, 1]}, "--xi", "1/3", "--delta", "0.25"),
+    ("delta", {"r": [1, 2, 1, 0], "c": [1, 1, 1, 1]}, "--delta", "0.5"),
+]
 
 
 class TestCoverAndRD:
@@ -659,17 +688,23 @@ class TestCoverAndRD:
              "7df835d0b00dc1b88f663b0e0fe9ebe3e2af70d3d911ec2dbc7a94cb150b365a"),
         ],
     )
-    def test_rd_bounds_and_cover_pinned_bytes(self, capsys, write_json, spec, xi, rd_sha, cover_sha):
-        # the types of test_ratedistortion.TestRDBoundsOnePass; the sha256 of each stdout is pinned
+    def test_rd_bounds_and_cover_pinned_bytes(self, capsys, write_json, cold_memo, spec, xi, rd_sha, cover_sha):
+        # the types of test_ratedistortion.TestRDBoundsOnePass; the sha256 of each stdout is pinned,
+        # first with the memo of class facts empty, then with it warmed by other classes
         t = write_json(spec)
-        for argv, sha in (
-            (["rd-bounds", "--type", t, "--xi", xi, "--delta", "0.25", "--delta-hat", "0.2"], rd_sha),
-            (["cover", "--type", t, "--xi", xi, "--delta", "0.25"], cover_sha),
-        ):
-            code = main(argv)
-            captured = capsys.readouterr()
-            assert code == 0 and captured.err == ""
-            assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
+        for warm in (False, True):
+            if warm:
+                for argv in MEMO_WARMERS:
+                    assert main([argv[0], "--type", write_json(argv[1]), *argv[2:]]) == 0
+                capsys.readouterr()
+            for argv, sha in (
+                (["rd-bounds", "--type", t, "--xi", xi, "--delta", "0.25", "--delta-hat", "0.2"], rd_sha),
+                (["cover", "--type", t, "--xi", xi, "--delta", "0.25"], cover_sha),
+            ):
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert code == 0 and captured.err == ""
+                assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
 
     def test_xi_above_one_scans_the_budgets_of_xi_one(self, capsys, write_json):
         # no distortion exceeds 1: the budgets stop at n, the slack terms keep Xi
@@ -686,7 +721,15 @@ class TestCoverAndRD:
         code, out = run(capsys, "cover", "--type", t, "--xi", "5")
         assert code == 0 and json.loads(out)["covers"] is True
 
-    @pytest.mark.parametrize("spec", [INFEASIBLE, {"r": [1, 1], "c": [1, 0]}])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            INFEASIBLE,
+            {"r": [1, 1], "c": [1, 0]},
+            # passes the necessary condition; a member search finds the class empty
+            {**PERMUTATIONS_3, "w": {"n": 3, "adj": [[1, 1, 0]] * 3}},
+        ],
+    )
     @pytest.mark.parametrize("xi", ["0", "1/2"])
     @pytest.mark.parametrize("argv", [("rd-bounds",), ("cover",), ("cover", "--m", "3")])
     def test_empty_class_exit_one(self, capsys, write_json, spec, xi, argv):

@@ -144,7 +144,7 @@ class TestCountDynamicProgram:
                 expected = len(set(enumerate_delta_class(t, delta, dens)))
                 assert count_delta_class(t, delta, dens) == expected, (t.r, t.c, delta)
 
-    def test_delta_count_counts_each_class_once(self, monkeypatch):
+    def test_delta_count_counts_each_class_once(self, monkeypatch, cold_memo):
         # with W complete, degree pairs equal up to relabelling share one count
         def key(r, c):
             return tuple(sorted(r)), tuple(sorted(c))

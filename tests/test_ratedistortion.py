@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from edgetype import ratedistortion
+from edgetype import enumeration, ratedistortion
 from edgetype.enumeration import (
     EnumerationLimitError,
     class_nonempty,
@@ -227,7 +227,7 @@ class TestCoveringBound:
     def test_lemma_size_keeps_the_lemma_summation_order(self, t, xi, delta):
         # cover's m_target is ceil of this value, so it must not move by an ulp
         n, dens = t.n, t.density()
-        diff, gap, _, _ = ratedistortion._covering_scan(t, xi, ratedistortion._class_table(t.w, None, 6), 6)
+        diff, gap, _, _ = ratedistortion._covering_scan(t, xi, ratedistortion._facts_reader(t.w, None, 6))
         lnn = math.log(n) if n > 1 else 0.0
         exponent = (
             diff * n**2
@@ -352,7 +352,7 @@ class TestRDBoundsOnePass:
         assert rd_lower(t, xi, 0.25, 0.2).slack_terms["entropy_difference"] == min(diffs)
 
     @pytest.mark.parametrize("t,xi", TYPES)
-    def test_each_type_solved_and_counted_once(self, t, xi, monkeypatch):
+    def test_each_type_solved_and_counted_once(self, t, xi, monkeypatch, cold_memo):
         seen = {"solve": [], "count": []}
 
         def recorded(name, fn):
@@ -365,13 +365,17 @@ class TestRDBoundsOnePass:
             return wrapper
 
         monkeypatch.setattr(ratedistortion, "solve_maxent", recorded("solve", ratedistortion.solve_maxent))
-        monkeypatch.setattr(ratedistortion, "count_class", recorded("count", ratedistortion.count_class))
-        rd_bounds(t, xi, 0.25, 0.2)
+        monkeypatch.setattr(enumeration, "count_class", recorded("count", enumeration.count_class))
+        first = rd_bounds(t, xi, 0.25, 0.2)
         for calls in seen.values():
             assert calls and len(calls) == len(set(calls))
+            calls.clear()
+        # the memo outlives the call: a repeat solves and counts nothing
+        assert rd_bounds(t, xi, 0.25, 0.2) == first
+        assert seen == {"solve": [], "count": []}
 
     @pytest.mark.parametrize("t,xi", TYPES)
-    def test_one_edge_type_per_class(self, t, xi, monkeypatch):
+    def test_one_edge_type_per_class(self, t, xi, monkeypatch, cold_memo):
         # the scan walks degree tuples and builds an EdgeType only for a class not met before
         def key(r, c):
             return (tuple(sorted(r)), tuple(sorted(c))) if t.unrestricted else (r, c)
@@ -386,6 +390,9 @@ class TestRDBoundsOnePass:
         rd_bounds(t, xi, 0.25, 0.2)
         met = {key(r, c) for d in omega_iter(xi, t.n) for r, c in [d, *sign_variants(t, *d)]}
         assert built and len(built) == len(set(built)) and set(built) <= met
+        built.clear()
+        rd_bounds(t, xi, 0.25, 0.2)
+        assert built == []
 
 
 def scan_without_memo(t, xi):
@@ -443,6 +450,104 @@ class TestRelabelledTypes:
         assert close(up.slack_terms["entropy_difference"], upper)
         assert close(lo.slack_terms["entropy_difference"], lower)
         assert up.assumption_flags["density_preserved"] == density_ok
+
+
+def fresh_facts(r, c, w, tol=None, limit=6):
+    """(H, gap floored at 0) of the type (r, c) under w, or None when its
+    class is empty, computed without any memo."""
+    t = EdgeType(r, c, w)
+    if not class_nonempty(t, limit=limit):
+        return None
+    h = solve_maxent(t, tol=tol, limit=limit)[2].entropy_nats
+    return h, max(0.0, counting_gap(h, count_class(t, limit=limit), t.n))
+
+
+MEMO_TYPES = [t for n in (3, 4) for density in (1.0, 0.75) for t in seeded_types(n, 3, density)]
+SAME_DEGREE_WS = (DiGraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), DiGraph([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+
+
+class TestFactsMemo:
+    """The process-wide memo of class facts read by the scan of Omega."""
+
+    @pytest.mark.parametrize("t", MEMO_TYPES)
+    def test_facts_equal_a_fresh_computation(self, t):
+        # whatever the memo already holds, on t and on variants of it, some empty
+        read = ratedistortion._facts_reader(t.w, None, 6)
+        for r, c in [(t.r, t.c), *sign_variants(t, (1,) * t.n, (0,) * t.n)]:
+            rep = ratedistortion._class_key(r, c, t.unrestricted)
+            assert read(r, c) == fresh_facts(*rep, t.w)
+
+    @pytest.mark.parametrize("t", [t for t in MEMO_TYPES if t.unrestricted])
+    def test_relabellings_share_one_entry(self, t, cold_memo):
+        read = ratedistortion._facts_reader(t.w, None, 6)
+        facts = [read(u.r, u.c) for u in (t, *(relabelled(t, k) for k in range(3)))]
+        assert facts == [facts[0]] * 4
+        info = ratedistortion._class_facts.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+        assert enumeration._class_count.cache_info().currsize == 1
+
+    def test_restricted_ws_with_equal_degrees_do_not_share(self, cold_memo):
+        # both W have every row and column degree 2
+        facts = [ratedistortion._facts_reader(w, None, 6)((1, 1, 1), (1, 1, 1)) for w in SAME_DEGREE_WS]
+        assert facts == [fresh_facts((1, 1, 1), (1, 1, 1), w) for w in SAME_DEGREE_WS]
+        assert ratedistortion._class_facts.cache_info().currsize == 2
+        assert enumeration._class_count.cache_info().currsize == 2
+
+    def test_tol_and_limit_are_part_of_the_key(self, cold_memo):
+        t = EdgeType((2, 1, 1, 0), (1, 2, 0, 1))
+        settings = [(None, 6), (1e-6, 6), (None, 5)]
+        facts = [ratedistortion._facts_reader(t.w, tol, limit)(t.r, t.c) for tol, limit in settings]
+        assert facts == [fresh_facts((2, 1, 1, 0), (2, 1, 1, 0), t.w, tol, limit) for tol, limit in settings]
+        assert ratedistortion._class_facts.cache_info().currsize == 3
+        assert enumeration._class_count.cache_info().currsize == 2  # a count has no tolerance
+
+    def test_refused_count_is_refused_again(self, cold_memo):
+        t = EdgeType((3,) * 7, (3,) * 7)
+        for _ in range(2):
+            with pytest.raises(EnumerationLimitError):
+                rd_bounds(t, 0, 0.2, 0.0)
+        assert ratedistortion._class_facts.cache_info().currsize == 0
+        up, _ = rd_bounds(t, 0, 0.2, 0.0, limit=7)
+        assert up.slack_terms["counting_gap"] > 0
+
+    def test_size_stays_within_the_bound(self, monkeypatch):
+        assert ratedistortion._class_facts.cache_info().maxsize == enumeration.MEMO_SIZE
+        assert enumeration._class_count.cache_info().maxsize == enumeration.MEMO_SIZE
+        t, xi = TestRDBoundsOnePass.TYPES[3]
+        expected = rd_bounds(t, xi, 0.25, 0.2)
+        met = {ratedistortion._class_key(r, c, True) for d in omega_iter(xi, t.n) for r, c in [d, *sign_variants(t, *d)]}
+        bound = 8
+        assert len(met) > bound
+        facts = functools.lru_cache(maxsize=bound)(ratedistortion._class_facts.__wrapped__)
+        counts = functools.lru_cache(maxsize=bound)(enumeration._class_count.__wrapped__)
+        monkeypatch.setattr(ratedistortion, "_class_facts", facts)
+        monkeypatch.setattr(ratedistortion, "_class_count", counts)
+        assert rd_bounds(t, xi, 0.25, 0.2) == expected
+        assert facts.cache_info().misses >= len(met)
+        assert facts.cache_info().currsize <= bound and counts.cache_info().currsize <= bound
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            TestRDBoundsOnePass.TYPES[2][0],
+            # passes the necessary condition; the member search finds it empty
+            EdgeType((1, 1, 1), (1, 1, 1), DiGraph([[1, 1, 0]] * 3)),
+        ],
+    )
+    def test_scan_tests_t_once(self, t, monkeypatch, cold_memo):
+        tested = []
+
+        def recorded(tt, *args, **kwargs):
+            tested.append((tt.r, tt.c))
+            return class_nonempty(tt, *args, **kwargs)
+
+        monkeypatch.setattr(ratedistortion, "class_nonempty", recorded)
+        if class_nonempty(t):
+            rd_bounds(t, Fraction(1, 3), 0.25, 0.2)
+        else:
+            with pytest.raises(ValueError, match="empty class"):
+                rd_bounds(t, Fraction(1, 3), 0.25, 0.2)
+        assert tested.count((t.r, t.c)) == 1
 
 
 THRESHOLDS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3)]
