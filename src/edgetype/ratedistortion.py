@@ -29,10 +29,10 @@ from .enumeration import (
     MEMO_SIZE,
     _class_count,
     _delta_members,
+    _members,
     class_nonempty,
-    enumerate_class,
 )
-from .graphs import DiGraph, DistortionValue, density, distortion
+from .graphs import DiGraph, DistortionValue, density
 from .maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
 from .probability import graph_prob
 from .typealg import EdgeType, _class_key
@@ -54,6 +54,8 @@ __all__ = [
 
 POOL_DRAW_CAP = 10_000_000
 BLOCK_CELLS = 1 << 19  # candidate x source cells per coverage chunk
+MASS_CELLS = 1 << 15  # candidate x element cells per batched mass chunk
+REACH_BLOCK = 16  # fewest candidates whose uncovered masses the bound computes at once
 TABLE_MAX_N = 4  # the exact oracles tabulate all 2^(n^2) graphs
 
 
@@ -170,9 +172,10 @@ def delta_class_cardinality_bounds(
         H/n^2 - gap*ln(n)/n  <=  (1/n^2) ln |T_delta|  <=  H/n^2 + H_b(delta) + ln max(n*dens, 1)/n^2
 
     with the measured counting gap in place of the universal constant; at dens = 0, T_delta = T.
-    H is solved in t's own labels; the count is shared with `count_delta_class`.
+    H and the count are read under t's class representative, as the Omega scan reads them,
+    so the bounds do not depend on vertex labels; the count is shared with `count_delta_class`.
     """
-    facts = _class_facts(t.r, t.c, t.w.to_bits(), tol, limit)
+    facts = _facts_reader(t.w, tol, limit)(t.r, t.c)
     if facts is None:
         raise ValueError("empty class")
     n = t.n
@@ -374,25 +377,49 @@ def build_cover_random(
     return _codebook(t.n, chosen, provenance, seed, m_target)
 
 
+def _line_masks(n: int) -> list[int]:
+    """The row and column masks of a row-major n x n bitmask."""
+    row, col = (1 << n) - 1, sum(1 << (i * n) for i in range(n))
+    return [row << (i * n) for i in range(n)] + [col << j for j in range(n)]
+
+
 def verify_cover(
     b: Codebook, t: EdgeType, threshold, limit: int = DEFAULT_LIMIT
 ) -> tuple[bool, DiGraph | None, Fraction]:
     """Exhaustive check that every class member is within the distortion
-    threshold of the codebook (exact rational comparisons).  Returns
-    (ok, worst member or None, worst min-distortion)."""
+    threshold of the codebook.  Returns (ok, worst member or None, worst
+    min-distortion); the worst member is the first in enumeration order
+    that reaches the max.
+
+    Members and codewords are row-major bitmasks: a pair's distortion is
+    k/n with k the largest row or column popcount of g ^ h, an exact int.
+    A member's scan stops at the first codeword no farther than the worst
+    member so far, which it then cannot replace."""
     thr = _as_fraction(threshold)
-    worst_g = None
-    worst_v = Fraction(0)
-    ok = True
     if not b.graphs:
         raise ValueError("empty codebook")
-    for g in enumerate_class(t, limit=limit):
-        best = min(distortion(g, h).as_fraction() for h in b.graphs)
-        if best > worst_v or worst_g is None:
-            worst_v, worst_g = best, g
-        if best > thr:
-            ok = False
-    return ok, worst_g, worst_v
+    n = t.n
+    for h in b.graphs:
+        if h.n != n:
+            raise ValueError(f"dimension mismatch: {n} vs {h.n}")
+    lines = _line_masks(n)
+    codes = [h.to_bits() for h in b.graphs]
+    worst_g, worst_k = None, -1
+    for g in _members(t, limit):
+        best = n + 1
+        for h in codes:
+            x = g ^ h
+            k = max((x & line).bit_count() for line in lines)
+            if k < best:
+                best = k
+                if best <= worst_k:
+                    break
+        if best > worst_k:
+            worst_g, worst_k = g, best
+    if worst_g is None:
+        return True, None, Fraction(0)
+    worst_v = Fraction(worst_k, n)
+    return worst_v <= thr, DiGraph.from_bits(n, worst_g), worst_v
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +434,33 @@ def _check_oracle_n(n: int, limit: int) -> None:
         raise ValueError(f"n={n} exceeds the exact oracles' ceiling n={TABLE_MAX_N} (2^(n^2) graphs)")
 
 
+@lru_cache(maxsize=TABLE_MAX_N + 1)  # n = 0..TABLE_MAX_N
 def _xor_weights(n: int) -> np.ndarray:
     """Worst row or column weight of every XOR pattern x in [0, 2^(n^2)),
-    in the row-major bit order of `DiGraph.to_bits`."""
+    in the row-major bit order of `DiGraph.to_bits`; one read-only table
+    per n (512 entries at n = 3, 64 KB at n = 4)."""
     x = np.arange(1 << (n * n), dtype="<u4").view(np.uint8).reshape(-1, 4)
     cells = np.unpackbits(x, axis=1, count=n * n, bitorder="little").reshape(-1, n, n)
     rows = cells.sum(axis=2, dtype=np.int8).max(axis=1)
-    return np.maximum(rows, cells.sum(axis=1, dtype=np.int8).max(axis=1))
+    table = np.maximum(rows, cells.sum(axis=1, dtype=np.int8).max(axis=1))
+    table.setflags(write=False)
+    return table
+
+
+def _pack(masks: Sequence[int], nbytes: int) -> np.ndarray:
+    """The masks as rows of nbytes little-endian bytes."""
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+
+
+def _first_rows(words: np.ndarray) -> np.ndarray:
+    """The index of the first occurrence of each distinct row of words (a
+    stable sort keeps equal rows in ascending index)."""
+    order = np.lexsort(words.T[::-1])
+    rows = words[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order[first]
 
 
 def _coverage_masks(
@@ -422,27 +469,39 @@ def _coverage_masks(
     """For every candidate codeword (all 2^(n^2) graphs) the bitmask of
     source elements it covers; dominated and empty candidates dropped.
 
-    h covers g iff worst(h ^ g) / n <= thr, i.e. worst <= floor(thr * n); the
-    candidate x source block is built BLOCK_CELLS at a time, one int per row."""
+    h covers g iff worst(h ^ g) / n <= thr, i.e. worst <= floor(thr * n).
+    The candidate x source block is built BLOCK_CELLS at a time and packed
+    into rows of 64-bit words; only its distinct rows, each with its
+    smallest h, become ints."""
     covered = _xor_weights(n) <= max(-1, min(n, thr.numerator * n // thr.denominator))
     index = np.min_scalar_type(covered.size - 1)
     src = np.array(source_bits, dtype=index)
+    nbytes = 8 * -(-len(src) // 64)
     step = max(1, BLOCK_CELLS // len(src))
     masks: dict[int, int] = {}
     for start in range(0, covered.size, step):
         hs = np.arange(start, min(start + step, covered.size), dtype=index)
         packed = np.packbits(covered[hs[:, None] ^ src], axis=1, bitorder="little")
-        for hb, row in enumerate(packed, start):
-            m = int.from_bytes(row.tobytes(), "little")
+        rows = np.zeros((len(hs), nbytes), dtype=np.uint8)
+        rows[:, : packed.shape[1]] = packed
+        for i in _first_rows(rows.view(np.uint64)).tolist():
+            m = int.from_bytes(rows[i].tobytes(), "little")
             if m and m not in masks:  # ascending h: the first is the smallest
-                masks[m] = hb
-    items = sorted(masks.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1]))
-    # drop strictly dominated coverage masks
-    kept: list[tuple[int, int]] = []
-    for m, hb in items:
-        if not any(m | km == km for km, _ in kept):
-            kept.append((m, hb))
-    return kept
+                masks[m] = start + i
+    items = sorted(masks.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
+    # Drop strictly dominated coverage masks.  The masks are distinct, so one
+    # is dropped iff it lies within another, which covers more and so comes
+    # earlier: each block of rows is tested against the rows up to its end,
+    # MASS_CELLS words at a time.
+    words = _pack([m for m, _ in items], nbytes).view(np.uint64)
+    inside = np.zeros(len(items), dtype=bool)
+    step = max(1, MASS_CELLS // max(words.size, 1))
+    for start in range(0, len(items), step):
+        stop = min(start + step, len(items))
+        within = ~(words[start:stop, None] & ~words[None, :stop]).any(axis=2)
+        within[np.arange(stop - start), np.arange(start, stop)] = False  # not within itself
+        inside[start:stop] = within.any(axis=1)
+    return [item for item, dropped in zip(items, inside.tolist()) if not dropped]
 
 
 def _top_sums(values: list[float], k: int) -> list[float]:
@@ -458,6 +517,23 @@ def _top_sums(values: list[float], k: int) -> list[float]:
     return sums
 
 
+def _masses(packed: np.ndarray, weights: np.ndarray) -> list[float]:
+    """The weight each packed row covers: weights[j] summed over its set bits j.
+
+    Each sum is a sequential cumsum over a 0/1 row in ascending j, which adds
+    the weights one at a time in the order a loop over the set bits would,
+    and adding +0.0 for an unset bit leaves it unchanged: every sum is the
+    loop's, bit for bit.  (A reduction would not do: numpy sums pairwise
+    along a contiguous axis.)  Rows are unpacked MASS_CELLS cells at a time."""
+    width = len(weights)
+    step = max(1, MASS_CELLS // width)
+    out: list[float] = []
+    for start in range(0, len(packed), step):
+        bits = np.unpackbits(packed[start : start + step], axis=1, count=width, bitorder="little")
+        out += np.cumsum(bits * weights, axis=1)[:, -1].tolist()
+    return out
+
+
 def _smallest_cover(
     cands: list[tuple[int, int]], weights: Sequence[float], need: float
 ) -> list[int]:
@@ -468,31 +544,50 @@ def _smallest_cover(
     smallest k the first covering k-subset in that order is returned.  The one
     optimistic bound, the sum of the k' largest uncovered masses among the
     candidates still open, prunes only subtrees that hold no cover."""
-    if set(weights) == {1.0}:
-        mass = int.bit_count  # a sum of ones is exact
+    # rows: the candidates as `masses` reads them, ints or packed byte rows
+    unit = set(weights) == {1.0}
+    if unit:
+
+        def masses(rows: list[int], covered: int) -> list[int]:
+            return [(m & ~covered).bit_count() for m in rows]  # a sum of ones is exact
+
+        rows = [m for m, _ in cands]
     else:
+        w = np.asarray(weights, dtype=float)
+        nbytes = (len(w) + 7) // 8
 
-        def mass(m: int) -> float:
-            total = 0.0  # left to right over the set bits, no compensated sum
-            while m:
-                low = m & -m
-                total += weights[low.bit_length() - 1]
-                m ^= low
-            return total
+        def masses(rows: np.ndarray, covered: int) -> list[float]:
+            if covered:
+                rows = rows & _pack([~covered & ((1 << 8 * nbytes) - 1)], nbytes)
+            return _masses(rows, w)
 
-    ordered = sorted(((mass(m), m, hb) for m, hb in cands), key=lambda x: (-x[0], x[2]))
-    whole = [w for w, _, _ in ordered]
+        rows = _pack([m for m, _ in cands], nbytes)
+    whole = masses(rows, 0)
+    order = sorted(range(len(cands)), key=lambda i: (-whole[i], cands[i][1]))
+    whole = [whole[i] for i in order]
+    cover_masks = [cands[i][0] for i in order]
+    codewords = [cands[i][1] for i in order]
+    rows = cover_masks if unit else rows[order]
     goal = need - 1e-12
     hopeless = goal - 1e-12  # room for rounding in the optimistic sums
 
-    def reach(start: int, left: int, covered: int) -> float:
-        """The `left` largest uncovered masses among ordered[start:]; an
-        uncovered mass is at most the whole mass, which falls along the list."""
+    def uncovered(lo: int, hi: int, covered: int) -> list:
+        """The uncovered masses of the candidates lo..hi-1 in search order;
+        while nothing is covered they are the whole masses."""
+        return masses(rows[lo:hi], covered) if covered else whole[lo:hi]
+
+    def reach(start: int, left: int, covered: int, extras: list) -> float:
+        """The `left` largest uncovered masses among the candidates from
+        start on; an uncovered mass is at most the whole mass, which falls along the list,
+        so the scan stops where no later one can enter.  The masses it reads
+        are appended to extras, computed in blocks that double."""
         heap: list[float] = []
-        for idx in range(start, len(ordered)):
+        for idx in range(start, len(whole)):
             if len(heap) == left and whole[idx] <= heap[0]:
                 break
-            extra = mass(ordered[idx][1] & ~covered)
+            if idx - start == len(extras):
+                extras += uncovered(idx, idx + max(left, len(extras), REACH_BLOCK), covered)
+            extra = extras[idx - start]
             if len(heap) < left:
                 heapq.heappush(heap, extra)
             elif extra > heap[0]:
@@ -502,17 +597,17 @@ def _smallest_cover(
     def dfs(start: int, left: int, covered: int, got: float, chosen: list[int]) -> list[int] | None:
         if got >= goal:
             return list(chosen)
-        if left == 0 or got + reach(start, left, covered) < hopeless:
+        extras: list = []
+        if left == 0 or got + reach(start, left, covered, extras) < hopeless:
             return None
-        # uncovered masses; while nothing is covered they are the whole masses
-        extras = [mass(m & ~covered) for _, m, _ in ordered[start:]] if covered else whole[start:]
-        for idx, extra, bound in zip(range(start, len(ordered)), extras, _top_sums(extras, left)):
+        extras += uncovered(start + len(extras), len(whole), covered)
+        for idx, extra, bound in zip(range(start, len(whole)), extras, _top_sums(extras, left)):
             if got + bound < hopeless:
-                break  # the same bound over ordered[idx:]; it only falls with idx
+                break  # the same bound over the candidates from idx on; it only falls with idx
             if extra <= 0:
                 continue
-            chosen.append(ordered[idx][2])
-            found = dfs(idx + 1, left - 1, covered | ordered[idx][1], got + extra, chosen)
+            chosen.append(codewords[idx])
+            found = dfs(idx + 1, left - 1, covered | cover_masks[idx], got + extra, chosen)
             chosen.pop()
             if found is not None:
                 return found

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import edgetype
-from edgetype import enumeration, maxent, probability
+from edgetype import enumeration, maxent, probability, ratedistortion
 from edgetype.cli import _build_parser, _matrix_json, graph_json, main, parse_type
 from edgetype.enumeration import class_invariants
 from edgetype.graphs import DiGraph
@@ -422,6 +422,17 @@ class TestDeltaAndConditional:
         assert code == 0
         assert counted and len(counted) == len(set(counted))
 
+    def test_delta_bounds_read_the_class_representative(self, capsys, write_json, cold_memo):
+        # H(F_T) is solved on the sorted representative: a relabelled t prints its bytes
+        # and takes no second entry in the memo of class facts
+        argv = ["delta", "--delta", "0.25", "--tol", "1e-6", "--type"]
+        code, permuted = run(capsys, *argv, write_json({"r": [3, 2, 3, 2], "c": [2, 3, 1, 4]}))
+        assert code == 0 and json.loads(permuted)["card_lower"] == 0.1299650963549897
+        entries = ratedistortion._class_facts.cache_info().currsize
+        code, sorted_out = run(capsys, *argv, write_json({"r": [3, 3, 2, 2], "c": [4, 3, 2, 1]}))
+        assert code == 0 and sorted_out == permuted
+        assert ratedistortion._class_facts.cache_info().currsize == entries == 1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -705,6 +716,48 @@ class TestCoverAndRD:
                 captured = capsys.readouterr()
                 assert code == 0 and captured.err == ""
                 assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize(
+        "spec, shas",
+        [
+            (PERMUTATIONS_3, ("8e2be30893042bb0e6ee68f8f3b8b69f7bc19281e68e77c03d9cc01362b45cc4",
+                              *["0808d385ba9335f76ccc03a510cb0b6f12f5b4eb05b516a9cf8ea9d1d7ed0561"] * 3)),
+            ({"r": [2, 1, 0], "c": [1, 1, 1]},
+             ("7eef8ce7f783b56e99ecc67bc532b99fbe6143aa2d65e99f9fbbc1908a3c0d50",
+              "6c5979e81820759c0e0cb4d8d536b7efcfce28333049a6647ba6f742a5ab7176",
+              *["0808d385ba9335f76ccc03a510cb0b6f12f5b4eb05b516a9cf8ea9d1d7ed0561"] * 2)),
+            ({"r": [2, 1, 1], "c": [1, 2, 1]},
+             ("fe8c6334b04297c053fe99682891a1375812d709eed8817e0efbcdb273def44b",
+              "b8b031aafed82c51490f14ab4be4ed7a77dde5c97c3adee8d43f4f13c5b8470e",
+              *["0808d385ba9335f76ccc03a510cb0b6f12f5b4eb05b516a9cf8ea9d1d7ed0561"] * 2)),
+        ],
+    )
+    def test_rn_exact_pinned_bytes(self, capsys, write_json, spec, shas):
+        # the sha256 of each stdout at d = 0, 1/3, 2/3, 1 (at d >= 2/3 one empty codeword covers all)
+        t = write_json(spec)
+        for d, sha in zip(("0", "1/3", "2/3", "1"), shas):
+            code = main(["rn-exact", "--type", t, "--d", d])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize(
+        "a, b, eps, sha",
+        [
+            # families drawn as round(random.Random(seed).uniform(-2, 2), 3), a then b, at seeds 8 and 1
+            ([-1.093, 1.849, -1.495], [0.819, -1.659, -1.01], "0.1",
+             "593217404747894780a9bd338194d5bd15ac02a3d46e9b98e70e452904215ea1"),
+            ([-1.463, 1.39, 1.055], [-0.98, -0.018, -0.202], "0.25",
+             "2df2973d2cefe2ce6cb5f649278163a2a89c2c77bd07dfb058874c33ed267dc0"),
+        ],
+    )
+    def test_rn_exact_params_seeded_pinned_bytes(self, capsys, write_json, a, b, eps, sha):
+        # two 4-word weighted covers at d = 1/3
+        argv = ["rn-exact", "--type", write_json(PERMUTATIONS_3), "--params", write_json({"a": a, "b": b})]
+        code = main([*argv, "--d", "1/3", "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
 
     def test_xi_above_one_scans_the_budgets_of_xi_one(self, capsys, write_json):
         # no distortion exceeds 1: the budgets stop at n, the slack terms keep Xi

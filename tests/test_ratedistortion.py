@@ -295,6 +295,66 @@ class TestVerifyCover:
         with pytest.raises(ValueError):
             verify_cover(book, EdgeType((1, 1), (1, 1)), 0)
 
+    def test_dimension_mismatch_rejected(self):
+        book = Codebook(graphs=(DiGraph.empty(3),), seed=None, m_target=None, provenance="manual")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            verify_cover(book, EdgeType((1, 1), (1, 1)), 0)
+
+    @staticmethod
+    def reference(book, t, thr):
+        """Pairwise `graphs.distortion` over the DiGraph stream; the worst
+        member is the first that reaches the largest min-distortion."""
+        worst_g, worst_v, ok = None, Fraction(0), True
+        for g in enumerate_class(t):
+            best = min(distortion(g, h).as_fraction() for h in book.graphs)
+            if worst_g is None or best > worst_v:
+                worst_g, worst_v = g, best
+            ok = ok and best <= thr
+        return ok, worst_g, worst_v
+
+    @pytest.mark.parametrize(
+        "t",
+        [EdgeType(*rc) for rc in partition_by_type(2)]
+        + seeded_types(3, 6)
+        + seeded_types(3, 6, w_density=0.7)
+        + seeded_types(4, 4)
+        + seeded_types(4, 4, w_density=0.75),
+    )
+    def test_matches_pairwise_distortions(self, t):
+        rng = random.Random(f"verify:{t.r}:{t.c}:{t.w.to_bits()}")
+        n = t.n
+        members = [g.to_bits() for g in enumerate_class(t)]
+        for size in (1, 2, 5, 17):
+            # codewords drawn from all graphs, some from the class, so exact hits occur too
+            codes = {rng.getrandbits(n * n) for _ in range(size)} | set(rng.sample(members, min(2, len(members))))
+            book = Codebook(tuple(DiGraph.from_bits(n, b) for b in sorted(codes)), None, None, "seeded")
+            for thr in (Fraction(0), Fraction(1, n), Fraction(2, n), Fraction(1, 2), Fraction(1)):
+                ok, worst_g, worst_v = verify_cover(book, t, thr)
+                assert (ok, worst_g, worst_v) == self.reference(book, t, thr)
+
+    @pytest.mark.parametrize(
+        "t, codes",
+        [
+            # every permutation matrix is at 1/3 of the empty graph: the first member is the worst
+            (EdgeType((1, 1, 1), (1, 1, 1)), (0,)),
+            # the first member is a codeword; the other five tie at 2/3, so the second is the worst
+            (EdgeType((1, 1, 1), (1, 1, 1)), (0b001010100,)),
+            (EdgeType((1, 1, 1), (1, 1, 1)), (0b100010001, 0b100001010)),
+            (EdgeType((1, 1, 1), (1, 1, 1), DiGraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])), (0b010100001,)),
+        ],
+    )
+    def test_ties_keep_the_first_worst_member(self, t, codes):
+        book = Codebook(tuple(DiGraph.from_bits(t.n, b) for b in codes), None, None, "manual")
+        got = verify_cover(book, t, Fraction(1, 3))
+        assert got == self.reference(book, t, Fraction(1, 3))
+        members = list(enumerate_class(t))
+        mins = [min(distortion(g, h).as_fraction() for h in book.graphs) for g in members]
+        assert mins.count(max(mins)) >= 2 and got[1] == members[mins.index(max(mins))]
+
+    def test_empty_class_is_covered(self):
+        book = Codebook(graphs=(DiGraph.empty(2),), seed=None, m_target=None, provenance="manual")
+        assert verify_cover(book, EdgeType((2, 0), (1, 1), DiGraph([[1, 0], [0, 1]])), 0) == (True, None, Fraction(0))
+
 
 class TestRDReports:
     def test_upper_report_shape(self):
@@ -602,6 +662,51 @@ class TestCoverageTable:
 
     def test_negative_threshold_covers_nothing(self):
         assert ratedistortion._coverage_masks([0, 5], 2, Fraction(-1, 2)) == []
+
+    def test_one_read_only_table_per_n(self):
+        ratedistortion._xor_weights.cache_clear()
+        rng = random.Random(13)
+        for n in (2, 3, 2, 3):
+            sources = sorted(rng.sample(range(1 << (n * n)), 1 << (n * n - 2)))
+            thr = Fraction(1, n)
+            assert ratedistortion._coverage_masks(sources, n, thr) == reference_masks(sources, n, thr)
+        info = ratedistortion._xor_weights.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+        assert not ratedistortion._xor_weights(3).flags.writeable
+
+
+def loop_mass(m, weights):
+    """The covered weight summed left to right over the set bits of m."""
+    total = 0.0
+    while m:
+        low = m & -m
+        total += weights[low.bit_length() - 1]
+        m ^= low
+    return total
+
+
+class TestBatchedMasses:
+    """`_masses` sums each mask's weights in one fixed order: every sum
+    equals (==) the left-to-right loop over its set bits."""
+
+    @pytest.mark.parametrize("width", [1, 7, 37, 512, (1 << 15) + 3])
+    def test_equal_to_the_loop(self, width):
+        rng = random.Random(width)
+        pool = [0.0, 5e-324, 2.5e-310, 1e-300, 1e-16, 0.1, 1.0, 3.0, 1e16]
+        weights = [rng.choice(pool) if rng.random() < 0.5 else rng.random() for _ in range(width)]
+        step = max(1, ratedistortion.MASS_CELLS // width)
+        count = 3 * step + 5  # four chunks, the last one partial
+        masks = [0, (1 << width) - 1] + [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(count)]
+        packed = ratedistortion._pack(masks, (width + 7) // 8)
+        got = ratedistortion._masses(packed, np.array(weights))
+        assert got == [loop_mass(m, weights) for m in masks]
+
+    def test_order_matters_and_is_kept(self):
+        # 1e16 + 1 + 1 rounds away both ones; the loop's order must be the one kept
+        weights = [1e16, 1.0, 1.0, -1e16]
+        packed = ratedistortion._pack([0b1111, 0b0111, 0b1001], 1)
+        got = ratedistortion._masses(packed, np.array(weights))
+        assert got == [0.0, 1e16, 0.0] == [loop_mass(m, weights) for m in (0b1111, 0b0111, 0b1001)]
 
 
 class TestExactRn:
