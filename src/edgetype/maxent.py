@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .enumeration import DEFAULT_LIMIT, class_invariants, count_class
+from .enumeration import DEFAULT_LIMIT, count_class, invariants_by_enumeration
 from .graphs import DiGraph
-from .typealg import EdgeType, reduce_by_invariants
+from .typealg import EdgeType, _staircase, reduce_by_invariants
 
 __all__ = [
     "ProductRandomGraph",
@@ -148,6 +148,24 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Groups(NamedTuple):
+    """The reduced dual of a class with one variable per group of
+    interchangeable rows (resp. columns): the group of every vertex, with
+    groups labelled by first appearance in vertex order; the group sizes;
+    each group's reduced degree; the number of free vertex cells in each
+    group cell; and a callable giving the free and the invariant-1 cells
+    in vertex labels, built only when p is."""
+
+    row_of: np.ndarray
+    col_of: np.ndarray
+    mr: np.ndarray
+    mc: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
+    cells: np.ndarray
+    masks: Callable[[], tuple[np.ndarray, np.ndarray]]
+
+
 def _orbits(deg: Sequence[int], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group label of every vertex and one representative per group; two
     vertices share a group when their degrees and their rows in `rows`
@@ -159,9 +177,89 @@ def _orbits(deg: Sequence[int], rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
         dtype=np.intp,
         count=len(deg),
     )
-    rep = np.empty(len(index), dtype=np.intp)
-    rep[label] = np.arange(len(deg))  # members of a group are interchangeable
-    return label, rep
+    return label, _representatives(label, len(index))
+
+
+def _representatives(label: np.ndarray, k: int) -> np.ndarray:
+    rep = np.empty(k, dtype=np.intp)
+    rep[label] = np.arange(len(label))  # members of a group are interchangeable
+    return rep
+
+
+def _restricted_groups(t: EdgeType, limit: int) -> _Groups:
+    """Groups of a restricted class: its invariant cells come from
+    enumerating it, and two rows share a group when their reduced degrees
+    and their allowed free cells agree (`_orbits`), likewise columns."""
+    masks = invariants_by_enumeration(t, limit=limit)
+    reduced = reduce_by_invariants(t, masks)
+    w = reduced.w.adj
+    row_of, row_rep = _orbits(reduced.r, w)
+    col_of, col_rep = _orbits(reduced.c, w.T)
+    mr, mc = np.bincount(row_of), np.bincount(col_of)
+    return _Groups(
+        row_of,
+        col_of,
+        mr,
+        mc,
+        np.asarray(reduced.r, dtype=float)[row_rep],
+        np.asarray(reduced.c, dtype=float)[col_rep],
+        (w[row_rep][:, col_rep] * np.outer(mr, mc)).astype(float),
+        lambda: (w, masks.inv1.adj),
+    )
+
+
+def _first_appearance(deg: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Label of every vertex by its key (degree, free run [lo, hi)), every
+    empty run being one key; labels follow first appearance."""
+    n = len(deg)
+    key = deg * (n + 1) ** 2 + np.where(lo < hi, lo * (n + 1) + hi, 0)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
+
+
+def _unrestricted_groups(t: EdgeType) -> _Groups:
+    """Groups of an unrestricted class from its degree sequences alone.
+
+    Sorted row i is free exactly on the sorted columns [a_i, b_i) of the
+    staircase, and a_i, b_i never rise with i, so sorted column j is free
+    exactly on the sorted rows [#{a_i > j}, #{b_i > j}).  A vertex's free
+    cells are thus one run of the other side's sorted positions, and its
+    group key is (reduced degree, run): the partition `_orbits` makes of
+    the reduced type, with the same labels.
+    """
+    s = _staircase(t, "invariant positions")
+    n = t.n
+    row_pos, col_pos = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    row_pos[s.row_perm] = col_pos[s.col_perm] = np.arange(n)
+
+    def above(ends):  # #{i : ends[i] > j} per sorted position j
+        return n - np.searchsorted(ends[::-1], np.arange(n), side="right")
+
+    a, b = s.inv1_end[row_pos], s.inv0_start[row_pos]
+    lo, hi = above(s.inv1_end)[col_pos], above(s.inv0_start)[col_pos]
+    r_hat, c_hat = np.asarray(t.r) - a, np.asarray(t.c) - lo
+    row_of, col_of = _first_appearance(r_hat, a, b), _first_appearance(c_hat, lo, hi)
+    mr, mc = np.bincount(row_of), np.bincount(col_of)
+    row_rep, col_rep = _representatives(row_of, len(mr)), _representatives(col_of, len(mc))
+    q = col_pos[col_rep]
+    free = (a[row_rep, None] <= q) & (q < b[row_rep, None])
+
+    def masks():
+        q = col_pos[None, :]
+        return (a[:, None] <= q) & (q < b[:, None]), q < a[:, None]
+
+    return _Groups(
+        row_of,
+        col_of,
+        mr,
+        mc,
+        r_hat[row_rep].astype(float),
+        c_hat[col_rep].astype(float),
+        (free * np.outer(mr, mc)).astype(float),
+        masks,
+    )
 
 
 def _newton_solve(
@@ -260,6 +358,53 @@ def _newton_solve(
     return x, it, gnorm, f, gnorm <= tol
 
 
+class _Solution(NamedTuple):
+    """The grouped dual solve of a class: its groups, the optimal group
+    duals (a, b), sigma(a_g + b_h) per group cell, and the report."""
+
+    groups: _Groups
+    a: np.ndarray
+    b: np.ndarray
+    sig: np.ndarray
+    report: SolveReport
+
+
+def _solve(
+    t: EdgeType, tol: float | None = None, init: DualVars | None = None, limit: int = DEFAULT_LIMIT
+) -> _Solution:
+    """Solve the dual of a nonempty class with one variable per group;
+    H(F_T) is read off the group cells, so no n x n array is built."""
+    if tol is None:
+        tol = 1e-10 * max(t.n, 1)
+    g = _unrestricted_groups(t) if t.unrestricted else _restricted_groups(t, limit)
+    x0 = None
+    if init is not None:
+        x0 = np.concatenate(
+            [
+                np.bincount(g.row_of, weights=init.s) / g.mr,
+                np.bincount(g.col_of, weights=init.t) / g.mc,
+            ]
+        )
+    x, iters, gnorm, obj, converged = _newton_solve(g.r, g.c, g.mr, g.mc, g.cells, tol, x0=x0)
+    if not converged:
+        raise ArithmeticError(
+            f"maxent dual failed to converge: gradient norm {gnorm:.3e} > tol {tol:.3e}"
+        )
+    a, b = x[: len(g.mr)], x[len(g.mr) :]
+    sig = _sigmoid(a[:, None] + b[None, :])
+    inside = (g.cells > 0) & (sig > 0) & (sig < 1)
+    h = float((g.cells[inside] * _binary_entropies(sig[inside])).sum())
+    report = SolveReport(
+        converged=True,
+        iterations=iters,
+        grad_norm=gnorm,
+        objective=obj,
+        entropy_nats=h,
+        alpha=math.inf if h > LN_FLOAT_MAX else math.exp(h),
+    )
+    return _Solution(g, a, b, sig, report)
+
+
 def solve_maxent(
     t: EdgeType, tol: float | None = None, init: DualVars | None = None, limit: int = DEFAULT_LIMIT
 ) -> tuple[ProductRandomGraph, DualVars, SolveReport]:
@@ -272,46 +417,17 @@ def solve_maxent(
     columns, so a minimizer constant on each such group exists
     (Chatterjee, Diaconis & Sly 2011); the dual is solved with one
     variable per group, and a given init is averaged over each group.
-    With W restricted, the invariant cells come from enumerating the class.
+    With W complete the groups come from the degree sequences alone (the
+    staircase of `typealg`); with W restricted the invariant cells come
+    from enumerating the class.
     """
-    n = t.n
-    if tol is None:
-        tol = 1e-10 * max(n, 1)
-    masks = class_invariants(t, limit=limit)
-    reduced = reduce_by_invariants(t, masks)
-    w = reduced.w.adj
-    row_of, row_rep = _orbits(reduced.r, w)
-    col_of, col_rep = _orbits(reduced.c, w.T)
-    mr, mc = np.bincount(row_of), np.bincount(col_of)
-    cells = (w[row_rep][:, col_rep] * np.outer(mr, mc)).astype(float)
-    r = np.asarray(reduced.r, dtype=float)[row_rep]
-    c = np.asarray(reduced.c, dtype=float)[col_rep]
-    x0 = None
-    if init is not None:
-        x0 = np.concatenate(
-            [np.bincount(row_of, weights=init.s) / mr, np.bincount(col_of, weights=init.t) / mc]
-        )
-    x, iters, gnorm, obj, converged = _newton_solve(r, c, mr, mc, cells, tol, x0=x0)
-    if not converged:
-        raise ArithmeticError(
-            f"maxent dual failed to converge: gradient norm {gnorm:.3e} > tol {tol:.3e}"
-        )
-    a, b = x[: len(mr)], x[len(mr) :]
-    sig = _sigmoid(a[:, None] + b[None, :])
-    p = sig[row_of][:, col_of] * w + masks.inv1.adj
-    p[t.w.adj == 0] = 0.0
+    sol = _solve(t, tol=tol, init=init, limit=limit)
+    g = sol.groups
+    free, inv1 = g.masks()
+    p = np.where(free, sol.sig[np.ix_(g.row_of, g.col_of)], inv1)
     f = ProductRandomGraph(p=p, w=t.w)
-    inside = (cells > 0) & (sig > 0) & (sig < 1)
-    h = float((cells[inside] * _binary_entropies(sig[inside])).sum())
-    report = SolveReport(
-        converged=True,
-        iterations=iters,
-        grad_norm=gnorm,
-        objective=obj,
-        entropy_nats=h,
-        alpha=math.inf if h > LN_FLOAT_MAX else math.exp(h),
-    )
-    return f, DualVars(tuple(a[row_of].tolist()), tuple(b[col_of].tolist())), report
+    dual = DualVars(tuple(sol.a[g.row_of].tolist()), tuple(sol.b[g.col_of].tolist()))
+    return f, dual, sol.report
 
 
 def counting_gap(entropy_nats: float, count: int, n: int) -> float:
@@ -326,7 +442,7 @@ def barvinok_bounds(
 ) -> tuple[float, float | None, int | None]:
     """(alpha, gap, count): alpha(T) = e^{H(F_T)} plus, when the class is
     enumerable, its size and the measured counting gap."""
-    _, _, report = solve_maxent(t, tol=tol, limit=limit)
+    report = _solve(t, tol=tol, limit=limit).report
     if t.n > limit:
         return report.alpha, None, None
     count = count_class(t, limit=limit)

@@ -33,8 +33,7 @@ from .enumeration import (
     class_nonempty,
 )
 from .graphs import DiGraph, DistortionValue, density
-from .maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
-from .probability import graph_prob
+from .maxent import ProductRandomGraph, _solve, binary_entropy, counting_gap
 from .typealg import EdgeType, _class_key
 
 __all__ = [
@@ -147,7 +146,7 @@ def _class_facts(
     t = EdgeType(r, c, DiGraph.from_bits(n, w_bits))
     if not class_nonempty(t, limit=limit):
         return None
-    h = solve_maxent(t, tol=tol, limit=limit)[2].entropy_nats
+    h = _solve(t, tol=tol, limit=limit).report.entropy_nats
     count = _class_count(*_class_key(r, c, w_bits == (1 << n * n) - 1), w_bits, limit)
     return h, max(0.0, counting_gap(h, count, n))
 
@@ -641,6 +640,25 @@ def exact_rn(
     return math.log2(len(chosen)) / n**2, book
 
 
+def _graph_weights(f: ProductRandomGraph) -> list[float]:
+    """`probability.graph_prob(f, g)` of every graph g on f's n vertices,
+    indexed by g's bits, to the bit.  ln Pr(F = g) is added up one cell at
+    a time in row-major order from 0.0, as `log_graph_prob` adds it, over
+    all graphs at once; a graph with a set cell of p = 0 or an unset cell
+    of p = 1 weighs 0, as that early return gives, whatever (even NaN) its
+    other cells add."""
+    index = np.arange(1 << f.n * f.n)
+    total = np.zeros(len(index))
+    dead = np.zeros(len(index), dtype=bool)
+    for k, p in enumerate(f.p.ravel().tolist()):
+        on = -math.inf if p == 0.0 else math.log(p)
+        off = -math.inf if p == 1.0 else math.log1p(-p)
+        term = np.where((index >> k) & 1, on, off)
+        total += term
+        dead |= term == -math.inf
+    return [math.exp(x) for x in np.where(dead, -math.inf, total).tolist()]
+
+
 def exact_rn_prob(
     f: ProductRandomGraph, d, eps: float, limit: int = 3
 ) -> tuple[float, Codebook]:
@@ -651,7 +669,7 @@ def exact_rn_prob(
     n = f.n
     _check_oracle_n(n, limit)
     thr = _as_fraction(d)
-    weights = [graph_prob(f, DiGraph.from_bits(n, b)) for b in range(1 << (n * n))]
+    weights = _graph_weights(f)
     support = [i for i, w in enumerate(weights) if w > 0]
     need = sum(weights[i] for i in support) - eps
     if need <= 0:

@@ -6,10 +6,11 @@ restriction graph W whose non-edges are forbidden cells.  A *normalized*
 type has both r and c sorted non-increasing; the structure matrix is
 defined on normalized types with W complete.  Invariant positions and
 components are two readings of one staircase: the degrees are sorted
-once, the structure matrix is built once, and both invariant masks and
-the block cuts come from its zero cells, answered in the caller's vertex
-labels.  For restricted W the enumeration oracle is the only route (see
-edgetype.enumeration).
+once, each row's zero cells of the structure matrix are read from prefix
+sums in O(n) without building the matrix, and both invariant masks and
+the block cuts come from them, answered in the caller's vertex labels;
+the max-entropy solve reads the same staircase.  For restricted W the
+enumeration oracle is the only route (see edgetype.enumeration).
 """
 
 from __future__ import annotations
@@ -179,9 +180,9 @@ def gale_ryser_feasible(r: Sequence[int], c: Sequence[int]) -> bool:
     return partial_c == partial_cbar
 
 
-def _degree_order(deg: Sequence[int]) -> tuple[int, ...]:
+def _degree_order(deg: Sequence[int]) -> np.ndarray:
     """Vertices by non-increasing degree, ties in vertex order."""
-    return tuple(np.argsort(-np.asarray(deg), kind="stable").tolist())
+    return np.argsort(-np.asarray(deg), kind="stable")
 
 
 def normalize(t: EdgeType) -> tuple[EdgeType, tuple[int, ...], tuple[int, ...]]:
@@ -192,8 +193,8 @@ def normalize(t: EdgeType) -> tuple[EdgeType, tuple[int, ...], tuple[int, ...]]:
     position k, likewise col_perm for in-degrees.  The restriction graph
     is permuted accordingly.
     """
-    row_perm = _degree_order(t.r)
-    col_perm = _degree_order(t.c)
+    row_perm = tuple(_degree_order(t.r).tolist())
+    col_perm = tuple(_degree_order(t.c).tolist())
     r_sorted = tuple(t.r[i] for i in row_perm)
     c_sorted = tuple(t.c[j] for j in col_perm)
     w_sorted = DiGraph(t.w.adj[np.ix_(row_perm, col_perm)])
@@ -234,25 +235,38 @@ def structure_matrix(r: Sequence[int], c: Sequence[int]) -> StructureMatrix:
 
 class _Staircase(NamedTuple):
     """The zero staircase of an unrestricted class, read in sorted
-    positions: both invariant masks and the interior cuts, with the
-    permutations that map sorted positions to vertex labels."""
+    positions: sorted row i is invariant 1 on the columns before
+    inv1_end[i], invariant 0 from inv0_start[i] on and free in between.
+    With the interior cuts and the permutations (arrays) that map sorted
+    positions to vertex labels."""
 
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
-    inv1: np.ndarray
-    inv0: np.ndarray
+    row_perm: np.ndarray
+    col_perm: np.ndarray
+    inv1_end: np.ndarray
+    inv0_start: np.ndarray
     row_cuts: list[int]
     col_cuts: list[int]
 
+    def masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The invariant-1 and invariant-0 cells, in sorted positions."""
+        j = np.arange(len(self.inv1_end))
+        return j < self.inv1_end[:, None], j >= self.inv0_start[:, None]
+
 
 def _staircase(t: EdgeType, what: str, hint: str = "") -> _Staircase:
-    """Sort the degrees once, build the structure matrix once, and read
-    everything off its zero cells (Haber's criterion): sorted cell (i, j)
-    is invariant 1 iff some zero (e, f) has e > i and f > j, and
-    invariant 0 iff some zero has e <= i and f <= j.  So row i's
-    invariant ones end at the largest zero column of the rows below it
-    (a suffix maximum), and its invariant zeros start at the smallest
-    zero column of the rows up to it (a prefix minimum).
+    """Sort the degrees once and read everything off the zero cells of the
+    structure matrix (Haber's criterion): sorted cell (i, j) is invariant 1
+    iff some zero (e, f) has e > i and f > j, and invariant 0 iff some zero
+    has e <= i and f <= j.  So row i's invariant ones end at the largest
+    zero column of the rows below it (a suffix maximum), and its invariant
+    zeros start at the smallest zero column of the rows up to it (a prefix
+    minimum).
+
+    The matrix itself is never built.  Along row e it steps by e - c(f+1)
+    from column f to f+1, which never falls as f grows, so the row's
+    minimum is held exactly on the columns #{c_j > e} .. #{c_j >= e}; a
+    nonempty class has no negative cell, so those are the row's zeros when
+    that minimum is 0, and it has none otherwise.
     """
     if not t.unrestricted:
         raise ValueError(f"{what} from the structure matrix require W complete{hint}")
@@ -261,20 +275,26 @@ def _staircase(t: EdgeType, what: str, hint: str = "") -> _Staircase:
     n = t.n
     row_perm = _degree_order(t.r)
     col_perm = _degree_order(t.c)
-    zero = structure_matrix([t.r[i] for i in row_perm], [t.c[j] for j in col_perm]).t == 0
-    held = zero.any(axis=1)
-    first = np.where(held, zero.argmax(axis=1), n + 1)
-    last = np.where(held, n - zero[:, ::-1].argmax(axis=1), 0)
-    inv1_end = np.maximum.accumulate(last[::-1])[::-1][1:]
-    inv0_start = np.minimum.accumulate(first)[:n]
-    j = np.arange(n)
+    r = np.asarray(t.r, dtype=np.int64)[row_perm]
+    c = np.asarray(t.c, dtype=np.int64)[col_perm]
+    e = np.arange(n + 1)
+    c_ascending = c[::-1]
+    lo = n - np.searchsorted(c_ascending, e, side="right")  # #{c_j > e}
+    hi = n - np.searchsorted(c_ascending, e, side="left")  # #{c_j >= e}
+    r_tail = np.concatenate([np.cumsum(r[::-1])[::-1], [0]])
+    c_head = np.concatenate([[0], np.cumsum(c)])
+    held = e * lo + r_tail - c_head[lo] == 0
+    first = np.where(held, lo, n + 1)
+    last = np.where(held, hi, 0)
+    # columns inside some held row's run of zeros, by a difference array
+    spans = np.bincount(lo[held], minlength=n + 2) - np.bincount(hi[held] + 1, minlength=n + 2)
     return _Staircase(
         row_perm=row_perm,
         col_perm=col_perm,
-        inv1=j < inv1_end[:, None],
-        inv0=j >= inv0_start[:, None],
+        inv1_end=np.maximum.accumulate(last[::-1])[::-1][1:],
+        inv0_start=np.minimum.accumulate(first)[:n],
         row_cuts=(np.flatnonzero(held[1:n]) + 1).tolist(),
-        col_cuts=(np.flatnonzero(zero[:, 1:n].any(axis=0)) + 1).tolist(),
+        col_cuts=(np.flatnonzero(np.cumsum(spans)[1:n]) + 1).tolist(),
     )
 
 
@@ -290,8 +310,7 @@ def invariant_positions(t: EdgeType) -> InvariantMasks:
     cells = np.ix_(s.row_perm, s.col_perm)
     inv1 = np.zeros((n, n), dtype=np.uint8)
     inv0 = np.zeros((n, n), dtype=np.uint8)
-    inv1[cells] = s.inv1
-    inv0[cells] = s.inv0
+    inv1[cells], inv0[cells] = s.masks()
     free = (1 - inv1 - inv0).astype(np.uint8)
     return InvariantMasks(inv1=DiGraph(inv1), inv0=DiGraph(inv0), free=DiGraph(free))
 
@@ -306,8 +325,9 @@ def components_from_structure(t: EdgeType) -> ComponentPartition:
     staircase-adjacent zeros) are the non-trivial components.
     """
     s = _staircase(t, "components")
+    inv1, inv0 = s.masks()
     return ComponentPartition.from_cuts(
-        s.row_cuts, s.col_cuts, ~(s.inv1 | s.inv0), s.row_perm, s.col_perm
+        s.row_cuts, s.col_cuts, ~(inv1 | inv0), s.row_perm.tolist(), s.col_perm.tolist()
     )
 
 

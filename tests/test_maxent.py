@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from edgetype import probability, ratedistortion
+from edgetype import maxent, probability, ratedistortion, typealg
 from edgetype.enumeration import (
     EnumerationLimitError,
     class_invariants,
@@ -25,7 +25,12 @@ from edgetype.maxent import (
     polytope_membership,
     solve_maxent,
 )
-from edgetype.typealg import EdgeType, gale_ryser_feasible, reduce_by_invariants
+from edgetype.typealg import (
+    EdgeType,
+    gale_ryser_feasible,
+    invariant_positions,
+    reduce_by_invariants,
+)
 
 # Types on which a line search that compares objective values only stalls
 # at the default tolerance: every step's decrease is below one ulp of the
@@ -271,6 +276,116 @@ class TestOrbitReducedSolver:
         _, _, again = solve_maxent(t, init=init)
         assert again.iterations == 0
         assert again.entropy_nats == pytest.approx(report.entropy_nats, abs=1e-12)
+
+
+def masks_and_orbits_solve(t, tol=None, init=None):
+    """Reference unrestricted solve from the n x n invariant masks: the
+    reduced type and its W, groups by `_orbits` over the rows of that W,
+    and p as sig * W + inv1.  Returns (p, s, t, report)."""
+    tol = 1e-10 * max(t.n, 1) if tol is None else tol
+    masks = invariant_positions(t)
+    reduced = reduce_by_invariants(t, masks)
+    w = reduced.w.adj
+    row_of, row_rep = maxent._orbits(reduced.r, w)
+    col_of, col_rep = maxent._orbits(reduced.c, w.T)
+    mr, mc = np.bincount(row_of), np.bincount(col_of)
+    cells = (w[row_rep][:, col_rep] * np.outer(mr, mc)).astype(float)
+    r = np.asarray(reduced.r, dtype=float)[row_rep]
+    c = np.asarray(reduced.c, dtype=float)[col_rep]
+    x0 = None
+    if init is not None:
+        x0 = np.concatenate(
+            [np.bincount(row_of, weights=init.s) / mr, np.bincount(col_of, weights=init.t) / mc]
+        )
+    x, iters, gnorm, obj, converged = maxent._newton_solve(r, c, mr, mc, cells, tol, x0=x0)
+    assert converged
+    a, b = x[: len(mr)], x[len(mr) :]
+    sig = maxent._sigmoid(a[:, None] + b[None, :])
+    p = sig[row_of][:, col_of] * w + masks.inv1.adj
+    inside = (cells > 0) & (sig > 0) & (sig < 1)
+    h = float((cells[inside] * maxent._binary_entropies(sig[inside])).sum())
+    report = maxent.SolveReport(
+        True, iters, gnorm, obj, h, math.inf if h > maxent.LN_FLOAT_MAX else math.exp(h)
+    )
+    f = ProductRandomGraph(p=p, w=t.w)
+    return f.p, tuple(a[row_of].tolist()), tuple(b[col_of].tolist()), report
+
+
+def degree_sequence_types():
+    """Seeded unrestricted types on n = 1..100, labels shuffled: random
+    graphs of random density, threshold (Ferrers) graphs with tied row
+    lengths, near-empty and near-full graphs, graphs with an all-ones
+    top-left and an all-zeros bottom-right block, and d-regular types."""
+    rng = np.random.default_rng(33)
+    for n in [*range(1, 41), *range(45, 101, 5)]:
+        rows, cols = np.arange(n)[:, None], np.arange(n)
+        k, m = rng.integers(0, n + 1, 2)
+        blocked = (rows < k) & (cols < m) | (rng.random((n, n)) < rng.choice([0.0, 0.4, 1.0]))
+        blocked &= (rows < k) | (cols < m)
+        shapes = {
+            "random": rng.random((n, n)) < rng.random(),
+            "ferrers": cols < rng.choice(rng.integers(0, n + 1, 3), n)[:, None],
+            "near-empty": rng.random((n, n)) < 1.5 / n**2,
+            "near-full": rng.random((n, n)) >= 1.5 / n**2,
+            "blocked": blocked,
+            "regular": (rows + cols) % n < rng.integers(0, n + 1),
+        }
+        for name, g in shapes.items():
+            g = g[rng.permutation(n)][:, rng.permutation(n)]
+            yield name, EdgeType.of_graph(DiGraph(g.astype(np.uint8)))
+
+
+class TestDegreeSequenceSolve:
+    """With W complete the solve groups vertices by (reduced degree, free
+    run of sorted positions) and never builds the structure matrix or the
+    masks; it must give what the masks-and-orbits path gives, bit for bit."""
+
+    def test_bytes_equal_masks_and_orbits_path(self):
+        rng = random.Random(4)
+        for name, t in degree_sequence_types():
+            init = DualVars(
+                tuple(rng.uniform(-2, 2) for _ in range(t.n)),
+                tuple(rng.uniform(-2, 2) for _ in range(t.n)),
+            )
+            for tol, start in ((None, None), (1e-6, None), (None, init)):
+                f, v, report = solve_maxent(t, tol=tol, init=start)
+                p, s, tt, ref = masks_and_orbits_solve(t, tol, start)
+                assert f.p.tobytes() == p.tobytes(), (name, t.r, t.c)
+                assert (v.s, v.t, report) == (s, tt, ref), (name, t.r, t.c)
+            assert barvinok_bounds(t, limit=0)[0] == solve_maxent(t)[2].alpha
+
+    def test_class_facts_entropy_is_the_solve_entropy(self):
+        full = {n: (1 << n * n) - 1 for n in range(1, 7)}
+        for name, t in degree_sequence_types():
+            if t.n > 6:
+                break
+            h = ratedistortion._class_facts(t.r, t.c, full[t.n], None, 6)[0]
+            assert h == solve_maxent(t)[2].entropy_nats, (name, t.r, t.c)
+
+    def test_groups_are_the_orbits_of_the_reduced_type(self):
+        for name, t in degree_sequence_types():
+            if t.n > 30:
+                break
+            reduced = reduce_by_invariants(t, invariant_positions(t))
+            row_of, _ = maxent._orbits(reduced.r, reduced.w.adj)
+            col_of, _ = maxent._orbits(reduced.c, reduced.w.adj.T)
+            groups = maxent._unrestricted_groups(t)
+            assert groups.row_of.tolist() == row_of.tolist(), (name, t.r, t.c)
+            assert groups.col_of.tolist() == col_of.tolist(), (name, t.r, t.c)
+
+    def test_no_structure_matrix_and_no_orbits(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("called with W complete")
+
+        monkeypatch.setattr(typealg, "structure_matrix", refused)
+        monkeypatch.setattr(maxent, "_orbits", refused)
+        for name, t in degree_sequence_types():
+            if t.n > 12:
+                break
+            solve_maxent(t)
+            barvinok_bounds(t, limit=4)
+        with pytest.raises(AssertionError, match="W complete"):
+            solve_maxent(EdgeType((1, 1), (1, 1), DiGraph([[0, 1], [1, 1]])))
 
 
 class TestEntropy:

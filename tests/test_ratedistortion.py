@@ -19,7 +19,7 @@ from edgetype.enumeration import (
 )
 from edgetype.graphs import DiGraph, distortion
 from edgetype.maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
-from edgetype.probability import FamilyDParams, family_d_graph
+from edgetype.probability import FamilyDParams, family_d_graph, graph_prob
 from edgetype.ratedistortion import (
     Codebook,
     build_cover_random,
@@ -424,7 +424,7 @@ class TestRDBoundsOnePass:
 
             return wrapper
 
-        monkeypatch.setattr(ratedistortion, "solve_maxent", recorded("solve", ratedistortion.solve_maxent))
+        monkeypatch.setattr(ratedistortion, "_solve", recorded("solve", ratedistortion._solve))
         monkeypatch.setattr(enumeration, "count_class", recorded("count", enumeration.count_class))
         first = rd_bounds(t, xi, 0.25, 0.2)
         for calls in seen.values():
@@ -796,6 +796,38 @@ class TestExactRnProb:
         assert sizes[0] == 16
 
 
+def weight_families():
+    """Product graphs on 1-3 vertices: every support of a 1- and a
+    2-vertex graph (each p_ij 0, 1 or strictly between), seeded logistic
+    families with +/-inf parameters forcing p = 0 and p = 1 cells, a
+    restricted W, subnormal and next-to-1 cells, and a NaN cell beside a
+    p = 0 one."""
+    rng = random.Random(17)
+    out = []
+    for n in (1, 2):
+        for cells in product((0.0, 1.0, None), repeat=n * n):
+            p = [rng.uniform(0.01, 0.99) if v is None else v for v in cells]
+            out.append(ProductRandomGraph(p=np.array(p).reshape(n, n), w=DiGraph.complete(n)))
+    for k in range(12):
+        a = [rng.choice((math.inf, -math.inf, rng.uniform(-3, 3))) for _ in range(3)]
+        b = [rng.uniform(-3, 3) for _ in range(3)]
+        w = DiGraph.complete(3) if k % 3 else DiGraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        out.append(family_d_graph(FamilyDParams(a=tuple(a), b=tuple(b), w=w)))
+    odd = [[5e-324, 1 - 2**-53, 0.1 + 0.2], [math.nan, 0.0, 0.5], [1e-300, 1.0, 0.75]]
+    out.append(ProductRandomGraph(p=np.array(odd), w=DiGraph.complete(3)))
+    return out
+
+
+@pytest.mark.parametrize("f", weight_families())
+def test_graph_weights_equal_graph_prob_per_graph(f):
+    n = f.n
+    expected = [graph_prob(f, DiGraph.from_bits(n, b)) for b in range(1 << (n * n))]
+    got = ratedistortion._graph_weights(f)
+    # bytes, so that NaN weights compare and -0.0 differs from 0.0
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert all(type(w) is float for w in got)
+
+
 def reference_cover(cands, weights, need):
     """The unpruned search `exact_rn_prob` ran before the shared one: for
     k = 1, 2, ... the first k-subset of the candidates, ordered by covered
@@ -836,7 +868,7 @@ def reference_cover(cands, weights, need):
 def weighted_instance(f, d, eps):
     """The (candidates, weights, need) that `exact_rn_prob` hands the search."""
     n = f.n
-    weights = [ratedistortion.graph_prob(f, DiGraph.from_bits(n, b)) for b in range(1 << (n * n))]
+    weights = [graph_prob(f, DiGraph.from_bits(n, b)) for b in range(1 << (n * n))]
     support = [i for i, w in enumerate(weights) if w > 0]
     need = sum(weights[i] for i in support) - eps
     cands = ratedistortion._coverage_masks(support, n, Fraction(d))

@@ -7,6 +7,7 @@ from edgetype.graphs import DiGraph
 from edgetype.typealg import (
     ComponentPartition,
     EdgeType,
+    _staircase,
     components_from_structure,
     gale_ryser_feasible,
     invariant_positions,
@@ -71,6 +72,45 @@ def staircase_reference(r, c):
     row_cuts = sorted({int(e) for e, _ in zeros if 0 < e < n})
     col_cuts = sorted({int(f) for _, f in zeros if 0 < f < n})
     return inv1, inv0, row_cuts, col_cuts
+
+
+def zero_cell_runs(r, c):
+    """(a, b, row cuts, column cuts) of a normalized type read off the zero
+    cells of its structure matrix: sorted row i is invariant 1 before
+    column a_i, the largest zero column of the rows below it, and
+    invariant 0 from b_i, the smallest zero column of the rows up to it."""
+    n = len(r)
+    e, f = np.nonzero(structure_matrix(r, c).t == 0)
+    a = [int(f[e > i].max(initial=0)) for i in range(n)]
+    b = [int(f[e <= i].min(initial=n + 1)) for i in range(n)]
+    row_cuts = sorted({int(x) for x in e if 0 < x < n})
+    col_cuts = sorted({int(x) for x in f if 0 < x < n})
+    return a, b, row_cuts, col_cuts
+
+
+def staircase_types():
+    """Seeded unrestricted types on n = 1..60 vertices, labels shuffled:
+    random graphs of random density, threshold (Ferrers) graphs whose row
+    lengths take few values, near-empty and near-full graphs, and graphs
+    with an all-ones top-left and an all-zeros bottom-right block, whose
+    column degrees often tie at the block height."""
+    rng = np.random.default_rng(21)
+    for n in range(1, 61):
+        few = rng.integers(0, n + 1, 3)
+        k, m = rng.integers(0, n + 1, 2)
+        rows, cols = np.arange(n)[:, None], np.arange(n)
+        blocked = (rows < k) & (cols < m) | (rng.random((n, n)) < rng.choice([0.0, 0.3, 1.0]))
+        blocked &= (rows < k) | (cols < m)
+        shapes = {
+            "random": rng.random((n, n)) < rng.random(),
+            "ferrers": cols < rng.choice(few, n)[:, None],
+            "near-empty": rng.random((n, n)) < 1.5 / n**2,
+            "near-full": rng.random((n, n)) >= 1.5 / n**2,
+            "blocked": blocked,
+        }
+        for name, g in shapes.items():
+            g = g[rng.permutation(n)][:, rng.permutation(n)]
+            yield name, EdgeType.of_graph(DiGraph(g.astype(np.uint8)))
 
 
 def all_degree_pairs(n):
@@ -258,6 +298,27 @@ class TestInvariantPositions:
             # the generating graph is a member of its own class
             assert not (masks.inv1.adj & ~adj).any()
             assert not (masks.inv0.adj & adj).any()
+
+
+class TestStaircase:
+    def test_runs_and_cuts_match_zero_cells(self):
+        tied = set()
+        for name, t in staircase_types():
+            s = _staircase(t, "staircase")
+            tn, rp, cp = normalize(t)
+            assert (s.row_perm.tolist(), s.col_perm.tolist()) == (list(rp), list(cp))
+            a, b, row_cuts, col_cuts = zero_cell_runs(tn.r, tn.c)
+            got = s.inv1_end.tolist(), s.inv0_start.tolist(), s.row_cuts, s.col_cuts
+            assert got == (a, b, row_cuts, col_cuts), (name, t.r, t.c)
+            # a row of the structure matrix with two zeros steps by 0 between
+            # them: the zeros fall inside a run of equal column degrees
+            if ((structure_matrix(tn.r, tn.c).t == 0).sum(axis=1) >= 2).any():
+                tied.add(name)
+        assert tied == {"random", "ferrers", "near-empty", "near-full", "blocked"}
+
+    def test_empty_class_rejected(self):
+        with pytest.raises(ValueError, match="empty class has no staircase"):
+            _staircase(EdgeType((2, 0), (2, 0)), "staircase")
 
 
 class TestComponents:
