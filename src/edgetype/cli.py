@@ -20,17 +20,13 @@ import numpy as np
 
 from . import enumeration, maxent, probability, ratedistortion, typealg
 from .graphs import DiGraph, distortion
-from .typealg import EdgeType
+from .typealg import EdgeType, EmptyResult
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
 EXIT_INVALID = 2
 EXIT_NONCONVERGED = 3
 EXIT_LIMIT = 4
-
-
-class EmptyResult(Exception):
-    """Signals a well-formed query whose answer is 'infeasible/empty'."""
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +492,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"non-convergence: {exc}\n")
         return EXIT_NONCONVERGED
     except ValueError as exc:
-        if "empty" in str(exc).lower():
-            sys.stderr.write(f"empty result: {exc}\n")
-            return EXIT_EMPTY
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:

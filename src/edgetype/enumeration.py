@@ -28,6 +28,7 @@ from .graphs import DiGraph, respects_restriction
 from .typealg import (
     ComponentPartition,
     EdgeType,
+    EmptyResult,
     InvariantMasks,
     _class_key,
     invariant_positions,
@@ -314,7 +315,7 @@ def interchange_reach(t: EdgeType, limit: int = DEFAULT_LIMIT) -> tuple[int, int
     (members reached, class size); the walk is connected iff they agree."""
     members = list(_members(t, limit))
     if not members:
-        raise ValueError("empty class has no interchange graph")
+        raise EmptyResult("empty class has no interchange graph")
     w_rows = _graph_rows(t.w)
     seen = {members[0]}
     frontier = [members[0]]
@@ -418,7 +419,7 @@ def invariants_by_enumeration(t: EdgeType, limit: int = DEFAULT_LIMIT) -> Invari
     members = _members(t, limit)
     first = next(members, None)
     if first is None:
-        raise ValueError("empty class has no invariant positions")
+        raise EmptyResult("empty class has no invariant positions")
     inv1 = union = first
     for bits in members:
         inv1 &= bits

@@ -67,11 +67,8 @@ class DiGraph:
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> "DiGraph":
-        """Decode a row-major bitmask (bit k = cell (k // n, k % n)); bits
-        from n*n up are ignored, a negative int read in two's complement."""
-        raw = (bits & ((1 << n * n) - 1)).to_bytes((n * n + 7) // 8, "little")
-        a = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * n, bitorder="little")
-        return cls(a.reshape(n, n))
+        """Decode a row-major bitmask as `_unpack` reads it."""
+        return cls(_unpack(n, [bits]).reshape(n, n))
 
     def to_bits(self) -> int:
         packed = np.packbits(self._adj, axis=None, bitorder="little")
@@ -93,6 +90,21 @@ class DiGraph:
 
     def __repr__(self) -> str:
         return f"DiGraph({self.tolist()})"
+
+
+def _pack(masks: Sequence[int], nbytes: int) -> np.ndarray:
+    """The nonnegative masks as rows of nbytes little-endian bytes."""
+    raw = b"".join([m.to_bytes(nbytes, "little") for m in masks])
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+
+
+def _unpack(n: int, masks: Iterable[int]) -> np.ndarray:
+    """The (m, n*n) uint8 cell rows of m row-major bitmasks on [n] (bit k is
+    cell (k // n, k % n), as `DiGraph.to_bits` writes it); bits from n*n up
+    are ignored, a negative int read in two's complement."""
+    full = (1 << n * n) - 1
+    packed = _pack([bits & full for bits in masks], (n * n + 7) // 8)
+    return np.unpackbits(packed, axis=1, count=n * n, bitorder="little")
 
 
 @dataclass(frozen=True, order=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .enumeration import DEFAULT_LIMIT, count_class, invariants_by_enumeration
 from .graphs import DiGraph
-from .typealg import EdgeType, _staircase, reduce_by_invariants
+from .typealg import EdgeType, EmptyResult, _staircase, reduce_by_invariants
 
 __all__ = [
     "ProductRandomGraph",
@@ -447,7 +447,7 @@ def barvinok_bounds(
         return report.alpha, None, None
     count = count_class(t, limit=limit)
     if count == 0:
-        raise ValueError("empty class has no counting bounds")
+        raise EmptyResult("empty class has no counting bounds")
     return report.alpha, counting_gap(report.entropy_nats, count, t.n), count
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import DEFAULT_LIMIT, enumerate_class
-from .graphs import DiGraph
+from .enumeration import DEFAULT_LIMIT, _members
+from .graphs import DiGraph, _unpack
 from .maxent import LN_FLOAT_MAX, ProductRandomGraph, solve_maxent
-from .typealg import EdgeType
+from .typealg import EdgeType, EmptyResult
 
 __all__ = [
     "FamilyDParams",
@@ -104,24 +104,33 @@ def family_d_graph(params: FamilyDParams) -> ProductRandomGraph:
     return ProductRandomGraph(p=p, w=params.w)
 
 
+def _log_probs(f: ProductRandomGraph, cells: np.ndarray) -> np.ndarray:
+    """ln Pr(F = g) of each graph g whose row-major cells (`graphs._unpack`)
+    are a row of cells; -inf when g is outside the support.
+
+    Each row adds its cells' terms, math.log(p) for a set cell and
+    math.log1p(-p) for an unset one, one at a time in row-major order from
+    0.0, as a loop over the cells would: a sequential cumsum behind a 0.0
+    column (np.sum would add pairwise), so a row's value, signed zero
+    included, does not depend on the rows beside it.  A row that sets a
+    p = 0 cell or leaves a p = 1 cell unset is -inf, even when another of
+    its cells is NaN."""
+    p = f.p.ravel().tolist()
+    on = [-math.inf if x == 0.0 else math.log(x) for x in p]
+    off = [-math.inf if x == 1.0 else math.log1p(-x) for x in p]
+    terms = np.zeros((len(cells), len(p) + 1))
+    terms[:, 1:] = off
+    np.copyto(terms[:, 1:], on, where=cells.astype(bool))
+    dead = np.isneginf(terms).any(axis=1)
+    return np.where(dead, -math.inf, np.cumsum(terms, axis=1, out=terms)[:, -1])
+
+
 def log_graph_prob(f: ProductRandomGraph, g: DiGraph) -> float:
     """ln Pr(F = g) for an independent-edge random graph; -inf when g is
     outside the support."""
     if f.n != g.n:
         raise ValueError("dimension mismatch")
-    total = 0.0
-    for i in range(f.n):
-        for j in range(f.n):
-            p = float(f.p[i, j])
-            if g.adj[i, j]:
-                if p == 0.0:
-                    return -math.inf
-                total += math.log(p)
-            else:
-                if p == 1.0:
-                    return -math.inf
-                total += math.log1p(-p)
-    return total
+    return _log_probs(f, g.adj.reshape(1, -1)).tolist()[0]
 
 
 def graph_prob(f: ProductRandomGraph, g: DiGraph) -> float:
@@ -189,11 +198,10 @@ def _class_mass(
     f: ProductRandomGraph, t: EdgeType, limit: int, exact: float = 0.0
 ) -> tuple[int, float]:
     """(|T|, exact + Pr(F = g) added up over the members g in class order)."""
-    count = 0
-    for g in enumerate_class(t, limit=limit):
-        exact += graph_prob(f, g)
-        count += 1
-    return count, exact
+    weights = _log_probs(f, _unpack(t.n, list(_members(t, limit)))).tolist()
+    for x in weights:
+        exact += math.exp(x)
+    return len(weights), exact
 
 
 def _prob_bounds(
@@ -282,7 +290,7 @@ def sanov_bounds(
         if n <= limit:
             count, exact = _class_mass(f, t, limit, exact)
             if count == 0:
-                raise ValueError("empty type in collection")
+                raise EmptyResult("empty type in collection")
             gap = max(0.0, report.entropy_nats - math.log(count))
             max_gap = max(max_gap, gap)
         else:

@@ -32,9 +32,10 @@ from .enumeration import (
     _members,
     class_nonempty,
 )
-from .graphs import DiGraph, DistortionValue, density
+from .graphs import DiGraph, DistortionValue, _pack, _unpack, density
 from .maxent import ProductRandomGraph, _solve, binary_entropy, counting_gap
-from .typealg import EdgeType, _class_key
+from .probability import _log_probs
+from .typealg import EdgeType, EmptyResult, _class_key
 
 __all__ = [
     "Codebook",
@@ -176,7 +177,7 @@ def delta_class_cardinality_bounds(
     """
     facts = _facts_reader(t.w, tol, limit)(t.r, t.c)
     if facts is None:
-        raise ValueError("empty class")
+        raise EmptyResult("empty class")
     n = t.n
     h, gap = facts
     lnn = math.log(n) if n > 1 else 0.0
@@ -199,7 +200,7 @@ def _covering_scan(t: EdgeType, xi, facts) -> tuple[float, float, bool, float]:
     empty class, cost no extra work.
     """
     if facts(t.r, t.c) is None:
-        raise ValueError("empty class")
+        raise EmptyResult("empty class")
     n = t.n
     dens = t.density()
     best = -math.inf
@@ -360,7 +361,7 @@ def build_cover_random(
     used; if that exceeds the draw cap the whole pool is returned, which
     trivially covers (every class member lies in its own pool)."""
     if not class_nonempty(t, limit=limit):
-        raise ValueError("empty class")
+        raise EmptyResult("empty class")
     if dens is None:
         dens = t.density()
     pool = _cover_pool(t, xi, delta, dens, limit)
@@ -396,7 +397,7 @@ def verify_cover(
     member so far, which it then cannot replace."""
     thr = _as_fraction(threshold)
     if not b.graphs:
-        raise ValueError("empty codebook")
+        raise EmptyResult("empty codebook")
     n = t.n
     for h in b.graphs:
         if h.n != n:
@@ -438,18 +439,11 @@ def _xor_weights(n: int) -> np.ndarray:
     """Worst row or column weight of every XOR pattern x in [0, 2^(n^2)),
     in the row-major bit order of `DiGraph.to_bits`; one read-only table
     per n (512 entries at n = 3, 64 KB at n = 4)."""
-    x = np.arange(1 << (n * n), dtype="<u4").view(np.uint8).reshape(-1, 4)
-    cells = np.unpackbits(x, axis=1, count=n * n, bitorder="little").reshape(-1, n, n)
+    cells = _unpack(n, range(1 << (n * n))).reshape(-1, n, n)
     rows = cells.sum(axis=2, dtype=np.int8).max(axis=1)
     table = np.maximum(rows, cells.sum(axis=1, dtype=np.int8).max(axis=1))
     table.setflags(write=False)
     return table
-
-
-def _pack(masks: Sequence[int], nbytes: int) -> np.ndarray:
-    """The masks as rows of nbytes little-endian bytes."""
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
 
 
 def _first_rows(words: np.ndarray) -> np.ndarray:
@@ -640,25 +634,6 @@ def exact_rn(
     return math.log2(len(chosen)) / n**2, book
 
 
-def _graph_weights(f: ProductRandomGraph) -> list[float]:
-    """`probability.graph_prob(f, g)` of every graph g on f's n vertices,
-    indexed by g's bits, to the bit.  ln Pr(F = g) is added up one cell at
-    a time in row-major order from 0.0, as `log_graph_prob` adds it, over
-    all graphs at once; a graph with a set cell of p = 0 or an unset cell
-    of p = 1 weighs 0, as that early return gives, whatever (even NaN) its
-    other cells add."""
-    index = np.arange(1 << f.n * f.n)
-    total = np.zeros(len(index))
-    dead = np.zeros(len(index), dtype=bool)
-    for k, p in enumerate(f.p.ravel().tolist()):
-        on = -math.inf if p == 0.0 else math.log(p)
-        off = -math.inf if p == 1.0 else math.log1p(-p)
-        term = np.where((index >> k) & 1, on, off)
-        total += term
-        dead |= term == -math.inf
-    return [math.exp(x) for x in np.where(dead, -math.inf, total).tolist()]
-
-
 def exact_rn_prob(
     f: ProductRandomGraph, d, eps: float, limit: int = 3
 ) -> tuple[float, Codebook]:
@@ -669,7 +644,7 @@ def exact_rn_prob(
     n = f.n
     _check_oracle_n(n, limit)
     thr = _as_fraction(d)
-    weights = _graph_weights(f)
+    weights = [math.exp(x) for x in _log_probs(f, _unpack(n, range(1 << (n * n)))).tolist()]
     support = [i for i, w in enumerate(weights) if w > 0]
     need = sum(weights[i] for i in support) - eps
     if need <= 0:

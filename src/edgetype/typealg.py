@@ -24,6 +24,7 @@ from .graphs import DiGraph, density, respects_restriction
 
 __all__ = [
     "EdgeType",
+    "EmptyResult",
     "StructureMatrix",
     "InvariantMasks",
     "ComponentPartition",
@@ -35,6 +36,10 @@ __all__ = [
     "restriction_necessary",
     "reduce_by_invariants",
 ]
+
+
+class EmptyResult(ValueError):
+    """A well-formed query whose answer is an empty class or codebook."""
 
 
 @dataclass(frozen=True)
@@ -271,7 +276,7 @@ def _staircase(t: EdgeType, what: str, hint: str = "") -> _Staircase:
     if not t.unrestricted:
         raise ValueError(f"{what} from the structure matrix require W complete{hint}")
     if not gale_ryser_feasible(t.r, t.c):
-        raise ValueError(f"empty class has no {what}")
+        raise EmptyResult(f"empty class has no {what}")
     n = t.n
     row_perm = _degree_order(t.r)
     col_perm = _degree_order(t.c)

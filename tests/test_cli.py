@@ -14,7 +14,7 @@ from edgetype import enumeration, maxent, probability, ratedistortion
 from edgetype.cli import _build_parser, _matrix_json, graph_json, main, parse_type
 from edgetype.enumeration import class_invariants
 from edgetype.graphs import DiGraph
-from edgetype.typealg import EdgeType, reduce_by_invariants
+from edgetype.typealg import EdgeType, EmptyResult, invariant_positions, reduce_by_invariants
 
 
 @pytest.fixture
@@ -992,6 +992,47 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "n >= 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--type", {"r": ["empty", 1, 1], "c": [1, 1, 1]}),
+            ("prob", "--type", PERMUTATIONS_3, "--params", {"a": ["empty", 0, 0], "b": [0, 0, 0]}),
+        ],
+        ids=["count", "prob"],
+    )
+    def test_bad_literal_saying_empty_exit_two(self, capsys, write_json, argv):
+        # exit 1 follows the error's type, not its text
+        code = main([write_json(a) if isinstance(a, dict) else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("invalid input: ") and "'empty'" in captured.err
+
+    def test_empty_codebook_exit_one(self, capsys, write_json):
+        code = main(["cover", "--type", write_json(PERMUTATIONS_3), "--xi", "0", "--m", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "empty result: empty codebook\n"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t, _: invariant_positions(t),
+            lambda _, t: enumeration.invariants_by_enumeration(t),
+            lambda t, _: enumeration.interchange_reach(t),
+            lambda _, t: ratedistortion.delta_class_cardinality_bounds(t, 0.0, 1),
+            lambda _, t: ratedistortion.rd_bounds(t, 0, 0.0, 0.0),
+            lambda _, t: ratedistortion.build_cover_random(t, 0, 0.0),
+            lambda t, _: ratedistortion.verify_cover(ratedistortion.Codebook((), None, 0, "none"), t, 0),
+        ],
+        ids=["staircase", "invariants_by_enumeration", "interchange_reach", "delta_bounds",
+             "covering_scan", "build_cover_random", "verify_cover"],
+    )
+    def test_empty_answers_raise_empty_result(self, call):
+        unrestricted = parse_type(INFEASIBLE)
+        restricted = parse_type({**PERMUTATIONS_3, "w": {"n": 3, "adj": [[1, 1, 0]] * 3}})
+        with pytest.raises(EmptyResult, match="^empty "):
+            call(unrestricted, restricted)
 
     @pytest.mark.parametrize(
         "flag",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from edgetype.graphs import (
     DiGraph,
     DistortionValue,
+    _unpack,
     and_,
     complement,
     density,
@@ -49,6 +50,23 @@ class TestDiGraph:
             g = DiGraph.from_bits(n, bits)
             assert g.adj.shape == (n, n) and g.adj.reshape(-1).tolist() == cells
             assert g.to_bits() == sum(v << k for k, v in enumerate(cells))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_unpack_reads_to_bits(self, n):
+        # one batch of seeded graphs, their masks read plain, with bits set from n*n up, and negative
+        rng = random.Random(100 + n)
+        graphs = [DiGraph([[rng.getrandbits(1) for _ in range(n)] for _ in range(n)]) for _ in range(40)]
+        graphs += [DiGraph.empty(n), DiGraph.complete(n)]
+        plain = [g.to_bits() for g in graphs]
+        cells = [g.adj.reshape(-1).tolist() for g in graphs]
+        high = [b | rng.getrandbits(70) << n * n for b in plain]
+        negative = [b - (1 << n * n + rng.randrange(70)) for b in plain]
+        for masks in (plain, high, negative):
+            rows = _unpack(n, masks)
+            assert rows.dtype == np.uint8 and rows.shape == (len(graphs), n * n)
+            assert rows.tolist() == cells
+            assert [DiGraph.from_bits(n, b) for b in masks] == graphs
+        assert _unpack(n, []).shape == (0, n * n)
 
     def test_hash_eq(self):
         a = DiGraph([[1, 0], [0, 1]])

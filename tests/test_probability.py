@@ -5,13 +5,15 @@ from itertools import product
 import numpy as np
 import pytest
 
+from edgetype import enumeration, probability
 from edgetype.enumeration import (
+    DEFAULT_LIMIT,
     EnumerationLimitError,
     enumerate_class,
     enumerate_delta_class,
     partition_by_type,
 )
-from edgetype.graphs import DiGraph
+from edgetype.graphs import DiGraph, _unpack
 from edgetype.maxent import ProductRandomGraph, solve_maxent
 from edgetype.probability import (
     FamilyDParams,
@@ -45,6 +47,44 @@ def random_params(rng, n, lo=-2.0, hi=2.0, w=None):
 
 def all_graphs(n):
     return [DiGraph.from_bits(n, b) for b in range(1 << (n * n))]
+
+
+def loop_log_graph_prob(f, g):
+    """ln Pr(F = g) cell by cell in row-major order from 0.0, returning -inf
+    at the first set p = 0 or unset p = 1 cell: the reference for the kernel."""
+    total = 0.0
+    for i in range(f.n):
+        for j in range(f.n):
+            p = float(f.p[i, j])
+            if g.adj[i, j]:
+                if p == 0.0:
+                    return -math.inf
+                total += math.log(p)
+            else:
+                if p == 1.0:
+                    return -math.inf
+                total += math.log1p(-p)
+    return total
+
+
+def same_floats(got, want):
+    """Equal as float64 bytes: NaN equals NaN, and -0.0 differs from 0.0."""
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def kernel_families(n, rng):
+    """Logistic families on n vertices with p = 0 cells (a = +inf, or off W),
+    p = 1 cells (a = -inf), NaN cells (a = nan, as `"a": ["nan", ...]` parses)
+    and interior cells, plus the all-zero family."""
+    out = [family_d_graph(FamilyDParams((INF,) * n, (0.0,) * n, DiGraph.complete(n)))]
+    for k in range(7):
+        a = [rng.choice((INF, -INF, math.nan)) if rng.random() < 0.4 else rng.uniform(-3, 3) for _ in range(n)]
+        b = [rng.choice((INF, -INF)) if rng.random() < 0.15 else rng.uniform(-3, 3) for _ in range(n)]
+        if k in (1, 2):  # a NaN cell, then a p = 1 cell, on complete W
+            a[0], b[0] = (math.nan, -INF)[k - 1], 0.0
+        w = DiGraph.from_bits(n, rng.getrandbits(n * n)) if k % 3 == 0 else DiGraph.complete(n)
+        out.append(family_d_graph(FamilyDParams(tuple(a), tuple(b), w)))
+    return out
 
 
 class TestFamilyDGraph:
@@ -89,6 +129,93 @@ class TestGraphProb:
         f = ProductRandomGraph.deterministic(DiGraph([[1, 0], [0, 1]]))
         assert log_graph_prob(f, DiGraph.empty(2)) == -INF
         assert graph_prob(f, DiGraph([[1, 0], [0, 1]])) == 1.0
+
+
+class TestLogProbsKernel:
+    """`probability._log_probs` equals (==) the per-cell loop on every row,
+    NaN and the sign of zero included, whatever rows share its batch."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_graph(self, n):
+        rng = random.Random(40 + n)
+        bits = range(1 << (n * n))
+        seen = []
+        for f in kernel_families(n, rng):
+            want = [loop_log_graph_prob(f, DiGraph.from_bits(n, b)) for b in bits]
+            assert same_floats(probability._log_probs(f, _unpack(n, bits)), want)
+            assert same_floats([log_graph_prob(f, DiGraph.from_bits(n, b)) for b in bits], want)
+            seen += want
+        # the families reach every kind of value the loop gives; log1p(-0.0) is -0.0,
+        # so the all-zero family's empty graph weighs +0.0 only because the sum starts from 0.0
+        assert any(math.isnan(x) for x in seen) and -INF in seen
+        assert same_floats([x for x in seen if x == 0.0][:1], [0.0])
+        assert any(math.isfinite(x) and x != 0.0 for x in seen)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_seeded_graphs(self, n):
+        rng = random.Random(50 + n)
+        for f in kernel_families(n, rng):
+            # rows of random density, so that rows outside the support and rows inside it both occur
+            bits = [rng.getrandbits(n * n) & rng.getrandbits(n * n) for _ in range(60)]
+            bits += [b | rng.getrandbits(n * n) for b in bits[:30]] + [0, (1 << n * n) - 1]
+            want = [loop_log_graph_prob(f, DiGraph.from_bits(n, b)) for b in bits]
+            assert same_floats(probability._log_probs(f, _unpack(n, bits)), want)
+            assert same_floats([log_graph_prob(f, DiGraph.from_bits(n, b)) for b in bits], want)
+
+    def test_dead_cell_beats_nan(self):
+        p = np.array([[math.nan, 0.0], [0.5, 1.0]])
+        f = ProductRandomGraph(p=p, w=DiGraph.complete(2))
+        bits = [0b1000, 0b1010, 0b0001]  # NaN alone, then beside a set p = 0 and an unset p = 1 cell
+        got = probability._log_probs(f, _unpack(2, bits))
+        assert math.isnan(got[0]) and got[1:].tolist() == [-INF, -INF]
+        assert same_floats(got, [loop_log_graph_prob(f, DiGraph.from_bits(2, b)) for b in bits])
+
+
+def loop_class_mass(f, t, exact=0.0):
+    """`_class_mass` as a loop over `enumerate_class` with the reference kernel."""
+    count = 0
+    for g in enumerate_class(t):
+        exact += math.exp(loop_log_graph_prob(f, g))
+        count += 1
+    return count, exact
+
+
+def class_mass_cases():
+    """(family, type, carried exact): every feasible type at n = 3, seeded
+    graph types at n = 4 and 5 (one under a restricted W), each against
+    kernel families and a nonzero carried sum."""
+    rng = random.Random(61)
+    types = [EdgeType(r, c) for (r, c), bits in sorted(partition_by_type(3).items()) if bits]
+    for n in (4, 5):
+        for k in range(3):
+            w = DiGraph.from_bits(n, rng.getrandbits(n * n) | rng.getrandbits(n * n)) if k == 2 else None
+            g = DiGraph.from_bits(n, rng.getrandbits(n * n) & (w.to_bits() if w else -1))
+            types.append(EdgeType.of_graph(g, w or DiGraph.complete(n)))
+    families = {n: kernel_families(n, rng) for n in (3, 4, 5)}
+    return [(f, t, start) for t in types for f in families[t.n][:: 2 if t.n == 3 else 1] for start in (0.0, 0.1)]
+
+
+class TestClassMass:
+    def test_equals_per_member_sum(self):
+        cases = class_mass_cases()
+        for f, t, start in cases:
+            got = probability._class_mass(f, t, DEFAULT_LIMIT, start)
+            count, exact = loop_class_mass(f, t, start)
+            assert got[0] == count and same_floats([got[1]], [exact]), (t, start)
+        assert any(t.n == 5 and not t.unrestricted for _, t, _ in cases)
+
+    def test_builds_no_digraph_per_member(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called per member")
+
+        rng = random.Random(62)
+        t = EdgeType((2, 2, 1, 1, 2), (1, 2, 2, 2, 1))
+        f = family_d_graph(random_params(rng, 5))
+        want = loop_class_mass(f, t, 0.25)
+        monkeypatch.setattr(enumeration, "enumerate_class", refuse)
+        monkeypatch.setattr(probability, "graph_prob", refuse)
+        got = probability._class_mass(f, t, DEFAULT_LIMIT, 0.25)
+        assert got[0] == want[0] and same_floats([got[1]], [want[1]])
 
 
 class TestKL:

@@ -660,6 +660,16 @@ class TestCoverageTable:
         for sources in source_sets:
             assert ratedistortion._coverage_masks(sources, 3, thr) == reference_masks(sources, 3, thr)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_bytes(self, n):
+        # the table as built from an arange view of every pattern's bytes
+        x = np.arange(1 << (n * n), dtype="<u4").view(np.uint8).reshape(-1, 4)
+        cells = np.unpackbits(x, axis=1, count=n * n, bitorder="little").reshape(-1, n, n)
+        rows = cells.sum(axis=2, dtype=np.int8).max(axis=1)
+        want = np.maximum(rows, cells.sum(axis=1, dtype=np.int8).max(axis=1))
+        got = ratedistortion._xor_weights(n)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     def test_negative_threshold_covers_nothing(self):
         assert ratedistortion._coverage_masks([0, 5], 2, Fraction(-1, 2)) == []
 
@@ -818,14 +828,35 @@ def weight_families():
     return out
 
 
+class HandedToSearch(Exception):
+    pass
+
+
 @pytest.mark.parametrize("f", weight_families())
-def test_graph_weights_equal_graph_prob_per_graph(f):
+def test_graph_weights_equal_graph_prob_per_graph(f, monkeypatch):
+    """The weights `exact_rn_prob` hands the cover search are `graph_prob`
+    per graph, to the bit: at d = 0 and eps = 0 that is every graph of
+    positive weight, each covered by itself alone."""
     n = f.n
     expected = [graph_prob(f, DiGraph.from_bits(n, b)) for b in range(1 << (n * n))]
-    got = ratedistortion._graph_weights(f)
-    # bytes, so that NaN weights compare and -0.0 differs from 0.0
-    assert np.array(got).tobytes() == np.array(expected).tobytes()
-    assert all(type(w) is float for w in got)
+    support = [b for b, w in enumerate(expected) if w > 0]
+    handed = []
+
+    def search(cands, weights, need):
+        handed.append((cands, weights, need))
+        raise HandedToSearch
+
+    monkeypatch.setattr(ratedistortion, "_smallest_cover", search)
+    if not support:  # no mass to cover: the search is not run
+        assert exact_rn_prob(f, 0, 0.0)[1].graphs == ()
+        return
+    with pytest.raises(HandedToSearch):
+        exact_rn_prob(f, 0, 0.0)
+    [(cands, weights, need)] = handed
+    assert sorted((m.bit_length() - 1, hb) for m, hb in cands) == list(enumerate(support))
+    assert weights == [expected[b] for b in support]
+    assert all(type(w) is float for w in weights)
+    assert need == sum(expected[b] for b in support)
 
 
 def reference_cover(cands, weights, need):
