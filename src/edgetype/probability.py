@@ -108,21 +108,19 @@ def _log_probs(f: ProductRandomGraph, cells: np.ndarray) -> np.ndarray:
     """ln Pr(F = g) of each graph g whose row-major cells (`graphs._unpack`)
     are a row of cells; -inf when g is outside the support.
 
-    Each row adds its cells' terms, math.log(p) for a set cell and
-    math.log1p(-p) for an unset one, one at a time in row-major order from
-    0.0, as a loop over the cells would: a sequential cumsum behind a 0.0
-    column (np.sum would add pairwise), so a row's value, signed zero
-    included, does not depend on the rows beside it.  A row that sets a
-    p = 0 cell or leaves a p = 1 cell unset is -inf, even when another of
-    its cells is NaN."""
-    p = f.p.ravel().tolist()
-    on = [-math.inf if x == 0.0 else math.log(x) for x in p]
-    off = [-math.inf if x == 1.0 else math.log1p(-x) for x in p]
-    terms = np.zeros((len(cells), len(p) + 1))
-    terms[:, 1:] = off
-    np.copyto(terms[:, 1:], on, where=cells.astype(bool))
-    dead = np.isneginf(terms).any(axis=1)
-    return np.where(dead, -math.inf, np.cumsum(terms, axis=1, out=terms)[:, -1])
+    Each row adds math.log(p) for a set cell and math.log1p(-p) for an
+    unset one, cell by cell, row-major, from 0.0.  A row that sets a p = 0
+    cell or leaves a p = 1 cell unset is -inf, even when another of its
+    cells is NaN."""
+    total = np.zeros(len(cells))
+    dead = np.zeros(len(cells), dtype=bool)
+    for k, p in enumerate(f.p.ravel().tolist()):
+        on = -math.inf if p == 0.0 else math.log(p)
+        off = -math.inf if p == 1.0 else math.log1p(-p)
+        term = np.where(cells[:, k], on, off)
+        total += term
+        dead |= term == -math.inf
+    return np.where(dead, -math.inf, total)
 
 
 def log_graph_prob(f: ProductRandomGraph, g: DiGraph) -> float:
@@ -198,7 +196,7 @@ def _class_mass(
     f: ProductRandomGraph, t: EdgeType, limit: int, exact: float = 0.0
 ) -> tuple[int, float]:
     """(|T|, exact + Pr(F = g) added up over the members g in class order)."""
-    weights = _log_probs(f, _unpack(t.n, list(_members(t, limit)))).tolist()
+    weights = _log_probs(f, _unpack(t.n, _members(t, limit))).tolist()
     for x in weights:
         exact += math.exp(x)
     return len(weights), exact

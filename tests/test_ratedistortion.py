@@ -8,7 +8,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from edgetype import enumeration, ratedistortion
+from test_probability import loop_log_graph_prob, same_floats
+
+from edgetype import enumeration, probability, ratedistortion
 from edgetype.enumeration import (
     EnumerationLimitError,
     class_nonempty,
@@ -17,7 +19,7 @@ from edgetype.enumeration import (
     enumerate_delta_class,
     partition_by_type,
 )
-from edgetype.graphs import DiGraph, distortion
+from edgetype.graphs import DiGraph, _unpack, distortion
 from edgetype.maxent import ProductRandomGraph, binary_entropy, counting_gap, solve_maxent
 from edgetype.probability import FamilyDParams, family_d_graph, graph_prob
 from edgetype.ratedistortion import (
@@ -834,11 +836,14 @@ class HandedToSearch(Exception):
 
 @pytest.mark.parametrize("f", weight_families())
 def test_graph_weights_equal_graph_prob_per_graph(f, monkeypatch):
-    """The weights `exact_rn_prob` hands the cover search are `graph_prob`
-    per graph, to the bit: at d = 0 and eps = 0 that is every graph of
-    positive weight, each covered by itself alone."""
+    """The kernel's ln Pr(F = g) of every graph is the per-cell loop's, zero,
+    -inf and NaN included, and the weights `exact_rn_prob` hands the cover
+    search are its Pr(F = g) to the bit: at d = 0 and eps = 0 that is every
+    graph of positive weight, each covered by itself alone."""
     n = f.n
-    expected = [graph_prob(f, DiGraph.from_bits(n, b)) for b in range(1 << (n * n))]
+    logs = [loop_log_graph_prob(f, DiGraph.from_bits(n, b)) for b in range(1 << (n * n))]
+    assert same_floats(probability._log_probs(f, _unpack(n, range(1 << (n * n)))), logs)
+    expected = [math.exp(x) for x in logs]
     support = [b for b, w in enumerate(expected) if w > 0]
     handed = []
 
@@ -854,7 +859,7 @@ def test_graph_weights_equal_graph_prob_per_graph(f, monkeypatch):
         exact_rn_prob(f, 0, 0.0)
     [(cands, weights, need)] = handed
     assert sorted((m.bit_length() - 1, hb) for m, hb in cands) == list(enumerate(support))
-    assert weights == [expected[b] for b in support]
+    assert same_floats(weights, [expected[b] for b in support])
     assert all(type(w) is float for w in weights)
     assert need == sum(expected[b] for b in support)
 
