@@ -76,6 +76,8 @@ def parse_family_params(obj) -> probability.FamilyDParams:
     a = tuple(_ext_real(v) for v in obj["a"])
     w = parse_graph(obj.get("w", "complete"), n=len(a))
     b = tuple(_ext_real(v) for v in obj["b"])
+    if any(math.isnan(v) for v in a + b):
+        raise ValueError("family parameters must not be NaN")
     return probability.FamilyDParams(a=a, b=b, w=w)
 
 
@@ -84,7 +86,7 @@ def graph_json(g: DiGraph) -> dict:
 
 
 def _emit(obj, out_path: str | None) -> None:
-    _write(json.dumps(obj, sort_keys=True) + "\n", out_path)
+    _write([json.dumps(obj, sort_keys=True) + "\n"], out_path)
 
 
 def _emit_graphs(stream, n: int, out_path: str | None) -> None:
@@ -94,25 +96,33 @@ def _emit_graphs(stream, n: int, out_path: str | None) -> None:
     rows = [json.dumps([m >> j & 1 for j in range(n)]) for m in range(1 << n)]
     full, shifts, tail = (1 << n) - 1, range(0, n * n, n), f'], "n": {n}}}\n'
     lines = ('{"adj": [' + ", ".join([rows[bits >> s & full] for s in shifts]) + tail for bits in stream)
-    _write("".join(lines), out_path)
+    _write(["".join(lines)], out_path)
 
 
-def _write(text: str, out_path: str | None) -> None:
+def _write(chunks: list[str], out_path: str | None) -> None:
+    """Write the text chunks in order, to out_path or else to stdout.  The
+    chunks are built before the file is opened, so a command that fails
+    while building them writes nothing."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _matrix_json(p: np.ndarray) -> str:
-    """`json.dumps(p.tolist())`, encoding each distinct row of p once.  F_T has
-    few distinct rows and columns; telling them apart by bytes keeps it exact."""
+def _matrix_chunks(p: np.ndarray) -> list[str]:
+    """`json.dumps(p.tolist())` as chunks: "[", one per row of p with the
+    ", " before it, and "]".  Each distinct row of p is encoded once and its
+    chunk shared; F_T has few distinct rows and columns, and telling them
+    apart by bytes keeps it exact."""
     (row_reps, row_of), (col_reps, col_of) = _distinct(p), _distinct(p.T)
     # a float's JSON text holds no ", ", so an encoded row splits into its cells
     cells = [json.dumps(x)[1:-1].split(", ") for x in p[np.ix_(row_reps, col_reps)].tolist()]
-    rows = ["[" + ", ".join([cell[j] for j in col_of]) + "]" for cell in cells]
-    return "[" + ", ".join([rows[i] for i in row_of]) + "]"
+    rows = [", [" + ", ".join([cell[j] for j in col_of]) + "]" for cell in cells]
+    chunks = ["[", *[rows[i] for i in row_of], "]"]
+    if len(p):
+        chunks[1] = chunks[1][2:]  # no separator before the first row
+    return chunks
 
 
 def _distinct(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -256,8 +266,10 @@ def cmd_maxent(args) -> int:
         "iterations": report.iterations,
         "margins_residual": report.grad_norm,
     }
-    texts = {k: json.dumps(x) for k, x in fields.items()} | {"p": _matrix_json(f.p)}
-    _write("{" + ", ".join(f"{json.dumps(k)}: {texts[k]}" for k in sorted(texts)) + "}\n", args.out)
+    items = {k: f"{json.dumps(k)}: {json.dumps(x)}" for k, x in fields.items()}
+    before = "".join(items[k] + ", " for k in sorted(items) if k < "p")
+    after = "".join(", " + items[k] for k in sorted(items) if k > "p")
+    _write(["{" + before + '"p": ', *_matrix_chunks(f.p), after + "}\n"], args.out)
     return EXIT_OK
 
 

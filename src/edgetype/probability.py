@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
     "decompose_single_edge",
     "mixture_lower_bound",
 ]
+
+CLASS_SLICE = 1 << 14  # class members decoded per `_log_probs` call in a class mass
 
 
 @dataclass(frozen=True)
@@ -195,11 +198,15 @@ def _point_prob(h: float, kl: float) -> float:
 def _class_mass(
     f: ProductRandomGraph, t: EdgeType, limit: int, exact: float = 0.0
 ) -> tuple[int, float]:
-    """(|T|, exact + Pr(F = g) added up over the members g in class order)."""
-    weights = _log_probs(f, _unpack(t.n, _members(t, limit))).tolist()
-    for x in weights:
-        exact += math.exp(x)
-    return len(weights), exact
+    """(|T|, exact + Pr(F = g) added up over the members g in class order).
+    The members are decoded CLASS_SLICE at a time, so memory stays bounded
+    on large classes; each weight does not depend on the slicing."""
+    members, count = _members(t, limit), 0
+    while batch := list(islice(members, CLASS_SLICE)):
+        for x in _log_probs(f, _unpack(t.n, batch)).tolist():
+            exact += math.exp(x)
+        count += len(batch)
+    return count, exact
 
 
 def _prob_bounds(

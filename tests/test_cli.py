@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import edgetype
 from edgetype import enumeration, maxent, probability, ratedistortion
-from edgetype.cli import _build_parser, _matrix_json, graph_json, main, parse_type
+from edgetype.cli import _build_parser, _matrix_chunks, graph_json, main, parse_type
 from edgetype.enumeration import class_invariants
 from edgetype.graphs import DiGraph
 from edgetype.typealg import EdgeType, EmptyResult, invariant_positions, reduce_by_invariants
@@ -60,6 +61,15 @@ def first_difference(got: str, want: str):
         return None
     k = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
     return k, got[max(k - 20, 0) : k + 20], want[max(k - 20, 0) : k + 20]
+
+
+def matrix_text(p) -> str:
+    """The text `_matrix_chunks` gives for p, checked to be "[", one chunk per
+    row of p (every row after the first led by its ", "), then "]"."""
+    chunks = _matrix_chunks(p)
+    assert len(chunks) == len(p) + 2 and chunks[0] == "[" and chunks[-1] == "]"
+    assert all(chunk.startswith(", [") for chunk in chunks[2:-1])
+    return "".join(chunks)
 
 
 def restricted_type(seed):
@@ -245,12 +255,12 @@ class TestMaxentAndBounds:
 
 
 class TestMatrixJson:
-    """`_matrix_json` must give the bytes of `json.dumps(p.tolist())`."""
+    """The chunks of `_matrix_chunks` must join to the bytes of `json.dumps(p.tolist())`."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 40, 200, 800])
     def test_gnp_types(self, n):
         f, _, _ = maxent.solve_maxent(gnp_type(n, n, 0.5))
-        assert first_difference(_matrix_json(f.p), json.dumps(f.p.tolist())) is None
+        assert first_difference(matrix_text(f.p), json.dumps(f.p.tolist())) is None
 
     @pytest.mark.parametrize("n", [7, 30, 120])
     def test_unsorted_types(self, n):
@@ -259,14 +269,14 @@ class TestMatrixJson:
         t = EdgeType(tuple(np.array(t.r)[order].tolist()), t.c[::-1])
         assert list(t.r) != sorted(t.r, reverse=True)
         f, _, _ = maxent.solve_maxent(t)
-        assert first_difference(_matrix_json(f.p), json.dumps(f.p.tolist())) is None
+        assert first_difference(matrix_text(f.p), json.dumps(f.p.tolist())) is None
 
     def test_restricted_w_with_invariant_cells_inside_solver_groups(self):
         split = 0
         for seed in range(12):
             t = restricted_type(seed)
             f, _, _ = maxent.solve_maxent(t)
-            assert first_difference(_matrix_json(f.p), json.dumps(f.p.tolist())) is None
+            assert first_difference(matrix_text(f.p), json.dumps(f.p.tolist())) is None
             # rows the solver shares one variable for, but whose p rows differ
             reduced = reduce_by_invariants(t, class_invariants(t))
             row_of, _ = maxent._orbits(reduced.r, reduced.w.adj)
@@ -291,7 +301,7 @@ class TestMatrixJson:
     )
     def test_hand_made_matrices(self, p):
         p = np.array(p)
-        assert first_difference(_matrix_json(p), json.dumps(p.tolist())) is None
+        assert first_difference(matrix_text(p), json.dumps(p.tolist())) is None
 
     @pytest.mark.parametrize("t", [gnp_type(40, 40, 0.5), restricted_type(0)], ids=["n40", "restricted"])
     def test_maxent_stdout_is_sorted_json_dumps(self, capsys, write_json, t):
@@ -310,6 +320,49 @@ class TestMatrixJson:
         }
         assert code == 0
         assert first_difference(out, json.dumps(expected, sort_keys=True) + "\n") is None
+
+    @pytest.mark.parametrize("t", [gnp_type(200, 200, 0.5), restricted_type(0)], ids=["n200", "restricted"])
+    def test_maxent_out_file_bytes_equal_stdout_bytes(self, capsysbinary, write_json, tmp_path, t):
+        spec = write_json({"r": list(t.r), "c": list(t.c), "w": {"n": t.n, "adj": t.w.tolist()}})
+        dest = tmp_path / "p.json"
+        assert main(["maxent", "--type", spec, "--out", str(dest)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert main(["maxent", "--type", spec]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert dest.read_bytes() == stdout and stdout.endswith(b"]}\n")
+
+    def test_maxent_peak_memory_is_a_few_copies_of_p(self, write_json, tmp_path):
+        # the text of p (3.2 MB here) is written row by row and never joined
+        t = gnp_type(400, 400, 0.5)
+        argv = ["maxent", "--type", write_json({"r": list(t.r), "c": list(t.c)}), "--out", str(tmp_path / "p.json")]
+        assert main(argv) == 0  # first-call allocations stay out of the measure
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = maxent.solve_maxent(t)[0].p.nbytes
+        assert peak < 4 * nbytes, (peak, nbytes)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--type", INFEASIBLE], 1),
+            (["--type", DERANGEMENTS_7], 4),
+            (["--type", PERMUTATIONS_3, "--tol", "-1"], 2),
+        ],
+        ids=["infeasible", "over-limit", "negative-tol"],
+    )
+    def test_failing_maxent_writes_no_file(self, capsys, write_json, tmp_path, argv, code):
+        dest = tmp_path / "p.json"
+        argv = ["maxent", *[write_json(a) if isinstance(a, dict) else a for a in argv], "--out", str(dest)]
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # a usage error
+            got = exc.code
+        assert got == code and capsys.readouterr().out == ""
+        assert not dest.exists()
 
 
 class TestProbability:
@@ -372,6 +425,21 @@ class TestProbability:
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
         assert '"upper": Infinity' in captured.out
+
+    @pytest.mark.parametrize("nan", ["nan", math.nan], ids=["string", "json-literal"])
+    @pytest.mark.parametrize("cmd", ["prob", "sanov", "rn-exact"])
+    def test_nan_params_exit_two(self, capsys, write_json, cmd, nan):
+        params = write_json({"a": [nan, 0, 0], "b": [0, 0, 0]} if nan == "nan" else {"a": [0, 0, 0], "b": [0, nan, 0]})
+        t = write_json(PERMUTATIONS_3)
+        argv = {
+            "prob": ["prob", "--type", t, "--params", params],
+            "sanov": ["sanov", "--params", params, "--types", t],
+            "rn-exact": ["rn-exact", "--type", t, "--params", params, "--d", "1/3"],
+        }[cmd]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "family parameters must not be NaN" in captured.err
 
     def test_inf_params_parsed(self, capsys, write_json):
         params = {"a": ["-inf", "inf"], "b": [0, "inf"]}

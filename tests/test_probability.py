@@ -200,7 +200,34 @@ def class_mass_cases():
     return [(f, t, start) for t in types for f in families[t.n][:: 2 if t.n == 3 else 1] for start in (0.0, 0.1)]
 
 
+def whole_class_mass(f, t, exact=0.0):
+    """`_class_mass` with the whole class decoded in one batch."""
+    weights = probability._log_probs(f, _unpack(t.n, list(enumeration._members(t, DEFAULT_LIMIT)))).tolist()
+    for x in weights:
+        exact += math.exp(x)
+    return len(weights), exact
+
+
 class TestClassMass:
+    def test_slices_equal_whole_class(self):
+        # the 2-regular class at n = 6 (67 950 members) spans five slices
+        t = EdgeType((2,) * 6, (2,) * 6)
+        f = family_d_graph(random_params(random.Random(63), 6))
+        want = whole_class_mass(f, t, 0.1)
+        assert want[0] > 4 * probability.CLASS_SLICE
+        assert probability._class_mass(f, t, DEFAULT_LIMIT, 0.1) == want
+
+    @pytest.mark.parametrize("size", [1, 151, 452, 453, 454], ids=lambda k: f"slice{k}")
+    def test_slice_edges(self, monkeypatch, size):
+        # 453 members: one per slice, three whole slices, one slice and one
+        # member, exactly one slice, and one slice with room to spare
+        t = EdgeType((2, 2, 1, 1, 2), (1, 2, 2, 2, 1))
+        f = family_d_graph(random_params(random.Random(64), 5))
+        want = whole_class_mass(f, t, 0.25)
+        assert want[0] == 453
+        monkeypatch.setattr(probability, "CLASS_SLICE", size)
+        assert probability._class_mass(f, t, DEFAULT_LIMIT, 0.25) == want
+
     def test_equals_per_member_sum(self):
         cases = class_mass_cases()
         for f, t, start in cases:
