@@ -21,12 +21,14 @@ from .typealg import (
     EdgeType,
     InvariantMasks,
     StructureMatrix,
+    components_from_masks,
     components_from_structure,
+    flow_feasible,
+    flow_invariants,
     gale_ryser_feasible,
     invariant_positions,
     normalize,
     reduce_by_invariants,
-    restriction_necessary,
     structure_matrix,
 )
 
@@ -48,7 +50,9 @@ __all__ = [
     "structure_matrix",
     "invariant_positions",
     "components_from_structure",
-    "restriction_necessary",
+    "flow_feasible",
+    "flow_invariants",
+    "components_from_masks",
     "reduce_by_invariants",
 ]
 

@@ -47,6 +47,12 @@ def parse_graph(obj, n: int | None = None) -> DiGraph:
     if not isinstance(obj, dict) or "adj" not in obj:
         raise ValueError('graph JSON must be {"n": int, "adj": [[...]]} or "complete"')
     adj = obj["adj"]
+    if not isinstance(adj, list) or not all(isinstance(row, list) for row in adj):
+        raise ValueError("graph adj must be a list of rows")
+    for row in adj:
+        for v in row:
+            if type(v) not in (int, float) or v not in (0, 1):
+                raise ValueError(f"adjacency entry {v!r} is not 0 or 1")
     g = DiGraph(adj)
     if "n" in obj and obj["n"] != g.n:
         raise ValueError("graph JSON n field disagrees with adjacency size")
@@ -56,10 +62,19 @@ def parse_graph(obj, n: int | None = None) -> DiGraph:
 def parse_type(obj) -> EdgeType:
     if not isinstance(obj, dict) or "r" not in obj or "c" not in obj:
         raise ValueError('type JSON must be {"r": [...], "c": [...], "w": ...}')
-    r = tuple(int(v) for v in obj["r"])
-    c = tuple(int(v) for v in obj["c"])
+    r, c = _degrees(obj["r"]), _degrees(obj["c"])
     w = parse_graph(obj.get("w", "complete"), n=len(r))
     return EdgeType(r, c, w)
+
+
+def _degrees(values) -> tuple[int, ...]:
+    """A degree vector: a list of JSON integers (a boolean is not one)."""
+    if not isinstance(values, list):
+        raise ValueError(f"degrees must be a list, got {values!r}")
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"degree {v!r} is not an integer")
+    return tuple(values)
 
 
 def _ext_real(v) -> float:
@@ -169,7 +184,7 @@ def _tolerance(text: str) -> float:
 
 def cmd_feasible(args) -> int:
     t = parse_type(_load_json(args.type))
-    ok = enumeration.class_nonempty(t, limit=args.limit)
+    ok = enumeration.class_nonempty(t)
     _emit({"feasible": ok}, args.out)
     return EXIT_OK if ok else EXIT_EMPTY
 
@@ -201,7 +216,7 @@ def cmd_structure(args) -> int:
 
 def cmd_invariants(args) -> int:
     t = parse_type(_load_json(args.type))
-    masks = enumeration.class_invariants(t, limit=args.limit)
+    masks = enumeration.class_invariants(t)
     _emit(
         {
             "inv1": graph_json(masks.inv1),
@@ -218,7 +233,7 @@ def cmd_components(args) -> int:
     if t.unrestricted:
         comp = typealg.components_from_structure(t)
     else:
-        comp = enumeration.components_by_enumeration(t, limit=args.limit)
+        comp = typealg.components_from_masks(typealg.flow_invariants(t))
     _emit(
         {
             "row_blocks": [list(b) for b in comp.row_blocks],
@@ -256,7 +271,7 @@ def cmd_interchange_check(args) -> int:
 
 def cmd_maxent(args) -> int:
     t = parse_type(_load_json(args.type))
-    f, v, report = maxent.solve_maxent(t, tol=args.tol, limit=args.limit)
+    f, v, report = maxent.solve_maxent(t, tol=args.tol)
     fields = {  # every key but p, which is encoded on its own
         "s": list(v.s),
         "t": list(v.t),
@@ -400,7 +415,7 @@ def cmd_rn_exact(args) -> int:
     t = parse_type(_load_json(args.type))
     ratedistortion._check_oracle_n(t.n, args.rn_limit)  # before any enumeration
     if args.params:
-        nonempty = enumeration.class_nonempty(t, limit=args.limit)
+        nonempty = enumeration.class_nonempty(t)
     else:
         source = list(enumeration.enumerate_class(t, limit=args.limit))
         nonempty = bool(source)
@@ -461,15 +476,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None)
         return sp
 
-    add("feasible", cmd_feasible, "type", "limit")
+    add("feasible", cmd_feasible, "type")
     add("normalize", cmd_normalize, "type")
     add("structure", cmd_structure, "type")
-    add("invariants", cmd_invariants, "type", "limit")
-    add("components", cmd_components, "type", "limit")
+    add("invariants", cmd_invariants, "type")
+    add("components", cmd_components, "type")
     add("count", cmd_count, "type", "limit")
     add("enumerate", cmd_enumerate, "type", "limit", "delta", "dens")
     add("interchange-check", cmd_interchange_check, "type", "limit")
-    add("maxent", cmd_maxent, "type", "tol", "limit")
+    add("maxent", cmd_maxent, "type", "tol")
     add("bounds", cmd_bounds, "type", "tol", "limit")
     add("prob", cmd_prob, "type", "params", "tol", "limit")
     sp = add("sanov", cmd_sanov, "params", "tol", "limit")

@@ -4,9 +4,11 @@ Everything here is ground truth: class enumeration by backtracking,
 class counting by an exact dynamic program over column classes (no
 member is visited), interchange walks, δ and conditional classes, and
 invariants/components recomputed directly from the members.  These
-oracles validate the closed-form machinery in edgetype.typealg and the
-analytic bounds elsewhere.  Both enumeration and counting refuse n above
-the limit (DEFAULT_LIMIT unless given).
+oracles validate the closed-form machinery and the flow in
+edgetype.typealg and the analytic bounds elsewhere; `class_nonempty` and
+`class_invariants` answer from typealg and enumerate nothing.  Both
+enumeration and counting refuse n above the limit (DEFAULT_LIMIT unless
+given).
 
 Inside this module a class member is an int throughout: a row-major
 bitmask, bit k being cell (k // n, k % n).  The invariant masks are the
@@ -31,8 +33,11 @@ from .typealg import (
     EmptyResult,
     InvariantMasks,
     _class_key,
+    components_from_masks,
+    flow_feasible,
+    flow_invariants,
+    gale_ryser_feasible,
     invariant_positions,
-    restriction_necessary,
 )
 
 __all__ = [
@@ -162,69 +167,95 @@ def enumerate_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> Iterator[DiGraph
 def count_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> int:
     """|T(r, c, W)| by an exact dynamic program over column classes.
 
-    Rows are placed one at a time.  A column class is the pair (residual
-    column degree, W bits of the column in the rows not yet placed);
-    columns of one class are interchangeable, so the state is the
-    multiset of classes.  Row i takes k_g columns from each class g that
-    W allows in row i, with sum k_g = r_i, in prod C(m_g, k_g) ways.  A
-    class whose residual degree exceeds the number of later rows allowing
-    it is pruned.  When W is complete this is the recursion of Miller and
-    Harrison (Ann. Statist. 41(3), 2013) over the multiset of residual
-    column degrees.  Exact Python ints throughout.
+    Rows are placed one at a time, in non-increasing degree order (W's rows
+    permuted alike).  A column class is the pair (residual column degree,
+    W bits of the column in the rows not yet placed); columns of one class
+    are interchangeable, so the state is the multiset of classes, held as
+    sorted (degree, pattern, multiplicity) triples without the finished
+    columns.  Row i takes k_g columns from each class g that W allows in
+    row i, with sum k_g = r_i, in prod C(m_g, k_g) ways; a class whose
+    residual degree would exceed the number of later rows allowing it
+    must give row i all its columns.  When W is complete this is the
+    recursion of Miller and Harrison (Ann. Statist. 41(3), 2013) over the
+    multiset of residual column degrees.  Exact Python ints throughout;
+    the memo lives for one call.
     """
     _check_limit(t.n, limit)
     n = t.n
     if sum(t.r) != sum(t.c):
         return 0
-    w = t.w.adj
-    start = Counter((t.c[j], sum(int(w[i, j]) << i for i in range(n))) for j in range(n))
+    order = sorted(range(n), key=lambda i: -t.r[i])
+    w = t.w.adj[order].T.tolist()  # column j's W bits, in placement order
+    start = Counter((t.c[j], sum(v << i for i, v in enumerate(w[j]))) for j in range(n))
+    state = []
+    for (d, pattern), m in sorted(start.items()):
+        if d > pattern.bit_count():
+            return 0
+        if d:
+            state.append((d, pattern, m))
+    return _count(0, tuple(state), [t.r[i] for i in order], [{} for _ in range(n)])
 
-    def regroup(classes: Counter) -> tuple | None:
-        """Canonical state: sorted (degree, pattern, multiplicity) triples
-        without the finished columns, or None when some residual degree
-        exceeds the rows still allowing its column."""
-        state = []
-        for (d, pattern), m in sorted(classes.items()):
-            if m and d:
-                if d > pattern.bit_count():
-                    return None
-                state.append((d, pattern, m))
-        return tuple(state)
 
-    @lru_cache(maxsize=None)
-    def count(i: int, state: tuple) -> int:
-        if i == n:
-            return int(not state)
-        skipped = Counter()  # classes W forbids in row i
-        allowed = []  # (degree, pattern of the later rows, multiplicity)
-        for d, pattern, m in state:
-            if pattern & 1:
-                allowed.append((d, pattern >> 1, m))
-            else:
-                skipped[(d, pattern >> 1)] += m
-        # room[k]: columns of allowed[k:] that row i can still take
-        room = list(accumulate((g[2] for g in reversed(allowed)), initial=0))[::-1]
-        total = 0
+def _count(i: int, state: tuple, r: list[int], memo: list[dict]) -> int:
+    """Members of the rows i.. with degrees r[i:] whose columns make the
+    canonical state `state`; memo[i] maps states to counts."""
+    if i == len(r):
+        return int(not state)
+    known = memo[i].get(state)
+    if known is not None:
+        return known
+    rest = {}  # classes W forbids in row i, by (degree, later pattern)
+    groups = []  # (degree, later pattern, multiplicity, least take)
+    for d, pattern, m in state:
+        if pattern & 1:
+            later = pattern >> 1
+            groups.append((d, later, m, m if d > later.bit_count() else 0))
+        else:
+            rest[d, pattern >> 1] = m
+    total = 0
+    for take in _takes(groups, r[i]):
+        nxt = rest.copy()
+        ways = 1
+        for (d, later, m, _), k in zip(groups, take):
+            if k:
+                ways *= comb(m, k)
+                if d > 1:
+                    nxt[d - 1, later] = nxt.get((d - 1, later), 0) + k
+            if k < m:
+                nxt[d, later] = nxt.get((d, later), 0) + m - k
+        total += ways * _count(i + 1, tuple(sorted([(d, p, m) for (d, p), m in nxt.items()])), r, memo)
+    memo[i][state] = total
+    return total
 
-        def place(k: int, need: int, ways: int, classes: Counter) -> None:
-            nonlocal total
-            if k == len(allowed):
-                nxt = regroup(classes)
-                if nxt is not None:
-                    total += ways * count(i + 1, nxt)
-                return
-            d, later, m = allowed[k]
-            for take in range(max(0, need - room[k + 1]), min(m, need) + 1):
-                step = classes.copy()
-                step[(d - 1, later)] += take
-                step[(d, later)] += m - take
-                place(k + 1, need - take, ways * comb(m, take), step)
 
-        place(0, t.r[i], 1, skipped)
-        return total
-
-    first = regroup(start)
-    return 0 if first is None else count(0, first)
+def _takes(groups: list[tuple[int, int, int, int]], need: int) -> Iterator[list[int]]:
+    """Every take vector placing `need` ones in the groups, group g taking
+    between its least take and its multiplicity, in lexicographic order,
+    written into one list in place."""
+    last = len(groups) - 1
+    if last < 0:
+        if need == 0:
+            yield []
+        return
+    # most[g], least[g]: what the groups after g can take together
+    most = list(accumulate((m for _, _, m, _ in groups[:0:-1]), initial=0))[::-1]
+    least = list(accumulate((lo for _, _, _, lo in groups[:0:-1]), initial=0))[::-1]
+    take = [0] * (last + 1)
+    left = [need] * (last + 1)  # left[g]: ones for the groups g..
+    take[0] = max(groups[0][3], need - most[0]) - 1
+    g = 0
+    while g >= 0:
+        k = take[g] + 1
+        if k > min(groups[g][2], left[g] - least[g]):
+            g -= 1
+            continue
+        take[g] = k
+        if g == last:
+            yield take
+            continue
+        g += 1
+        left[g] = left[g - 1] - k
+        take[g] = max(groups[g][3], left[g] - most[g]) - 1
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -237,21 +268,16 @@ def _class_count(r: tuple[int, ...], c: tuple[int, ...], w_bits: int, limit: int
     return count_class(EdgeType(r, c, DiGraph.from_bits(len(r), w_bits)), limit=limit)
 
 
-def class_nonempty(t: EdgeType, limit: int = DEFAULT_LIMIT) -> bool:
-    """Whether T(r, c, W) has a member.  Gale-Ryser decides it when W is
-    complete; otherwise a failed necessary condition certifies emptiness,
-    and a search for one member settles the rest."""
-    if not restriction_necessary(t):
-        return False
-    return t.unrestricted or next(_members(t, limit), None) is not None
+def class_nonempty(t: EdgeType) -> bool:
+    """Whether T(r, c, W) has a member: Gale-Ryser when W is complete, one
+    0/1 flow otherwise (`typealg.flow_feasible`)."""
+    return gale_ryser_feasible(t.r, t.c) if t.unrestricted else flow_feasible(t)
 
 
-def class_invariants(t: EdgeType, limit: int = DEFAULT_LIMIT) -> InvariantMasks:
+def class_invariants(t: EdgeType) -> InvariantMasks:
     """Invariant masks of a nonempty class: from the structure matrix when
-    W is complete, by intersecting the members otherwise."""
-    if t.unrestricted:
-        return invariant_positions(t)
-    return invariants_by_enumeration(t, limit=limit)
+    W is complete, from one 0/1 flow otherwise (`typealg.flow_invariants`)."""
+    return invariant_positions(t) if t.unrestricted else flow_invariants(t)
 
 
 def _graph_rows(g: DiGraph) -> list[int]:
@@ -430,27 +456,7 @@ def invariants_by_enumeration(t: EdgeType, limit: int = DEFAULT_LIMIT) -> Invari
 
 
 def components_by_enumeration(t: EdgeType, limit: int = DEFAULT_LIMIT) -> ComponentPartition:
-    """Component partition recomputed from the class members.
-
-    An invariance corner (e, f) is a cut pair where every member has an
-    all-ones top-left e x f block and an all-zeros bottom-right block,
-    that is where the first block lies in the invariant 1-cells and the
-    second in the invariant 0-cells; the distinct interior corner
-    coordinates cut [n] into the row and column blocks, and a block is
-    trivial when all its cells are invariant.  For normalized unrestricted
-    types this matches the zero cells of the structure matrix.
-    """
-    masks = invariants_by_enumeration(t, limit=limit)
-    n = t.n
-    inv1, inv0 = masks.inv1.adj, masks.inv0.adj
-    corners = [
-        (e, f)
-        for e in range(n + 1)
-        for f in range(n + 1)
-        if inv1[:e, :f].all() and inv0[e:, f:].all()
-    ]
-    return ComponentPartition.from_cuts(
-        sorted({e for e, _ in corners if 0 < e < n}),
-        sorted({f for _, f in corners if 0 < f < n}),
-        masks.free.adj,
-    )
+    """Component partition recomputed from the class members: the
+    invariance corners (`typealg.components_from_masks`) of the masks that
+    `invariants_by_enumeration` reads off them."""
+    return components_from_masks(invariants_by_enumeration(t, limit=limit))

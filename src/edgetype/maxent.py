@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .enumeration import DEFAULT_LIMIT, count_class, invariants_by_enumeration
+from .enumeration import DEFAULT_LIMIT, count_class
 from .graphs import DiGraph
-from .typealg import EdgeType, EmptyResult, _staircase, reduce_by_invariants
+from .typealg import EdgeType, EmptyResult, _staircase, flow_invariants, reduce_by_invariants
 
 __all__ = [
     "ProductRandomGraph",
@@ -186,11 +186,12 @@ def _representatives(label: np.ndarray, k: int) -> np.ndarray:
     return rep
 
 
-def _restricted_groups(t: EdgeType, limit: int) -> _Groups:
-    """Groups of a restricted class: its invariant cells come from
-    enumerating it, and two rows share a group when their reduced degrees
-    and their allowed free cells agree (`_orbits`), likewise columns."""
-    masks = invariants_by_enumeration(t, limit=limit)
+def _restricted_groups(t: EdgeType) -> _Groups:
+    """Groups of a restricted class: its invariant cells come from one 0/1
+    flow (`typealg.flow_invariants`), and two rows share a group when their
+    reduced degrees and their allowed free cells agree (`_orbits`),
+    likewise columns."""
+    masks = flow_invariants(t)
     reduced = reduce_by_invariants(t, masks)
     w = reduced.w.adj
     row_of, row_rep = _orbits(reduced.r, w)
@@ -369,14 +370,12 @@ class _Solution(NamedTuple):
     report: SolveReport
 
 
-def _solve(
-    t: EdgeType, tol: float | None = None, init: DualVars | None = None, limit: int = DEFAULT_LIMIT
-) -> _Solution:
+def _solve(t: EdgeType, tol: float | None = None, init: DualVars | None = None) -> _Solution:
     """Solve the dual of a nonempty class with one variable per group;
     H(F_T) is read off the group cells, so no n x n array is built."""
     if tol is None:
         tol = 1e-10 * max(t.n, 1)
-    g = _unrestricted_groups(t) if t.unrestricted else _restricted_groups(t, limit)
+    g = _unrestricted_groups(t) if t.unrestricted else _restricted_groups(t)
     x0 = None
     if init is not None:
         x0 = np.concatenate(
@@ -406,7 +405,7 @@ def _solve(
 
 
 def solve_maxent(
-    t: EdgeType, tol: float | None = None, init: DualVars | None = None, limit: int = DEFAULT_LIMIT
+    t: EdgeType, tol: float | None = None, init: DualVars | None = None
 ) -> tuple[ProductRandomGraph, DualVars, SolveReport]:
     """Maximum-entropy random graph of a nonempty class.
 
@@ -419,9 +418,9 @@ def solve_maxent(
     variable per group, and a given init is averaged over each group.
     With W complete the groups come from the degree sequences alone (the
     staircase of `typealg`); with W restricted the invariant cells come
-    from enumerating the class.
+    from one 0/1 flow and its residual components.
     """
-    sol = _solve(t, tol=tol, init=init, limit=limit)
+    sol = _solve(t, tol=tol, init=init)
     g = sol.groups
     free, inv1 = g.masks()
     p = np.where(free, sol.sig[np.ix_(g.row_of, g.col_of)], inv1)
@@ -442,7 +441,7 @@ def barvinok_bounds(
 ) -> tuple[float, float | None, int | None]:
     """(alpha, gap, count): alpha(T) = e^{H(F_T)} plus, when the class is
     enumerable, its size and the measured counting gap."""
-    report = _solve(t, tol=tol, limit=limit).report
+    report = _solve(t, tol=tol).report
     if t.n > limit:
         return report.alpha, None, None
     count = count_class(t, limit=limit)

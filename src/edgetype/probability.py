@@ -178,11 +178,11 @@ def kl_sum(pt: ProductRandomGraph, f: ProductRandomGraph) -> float:
 
 
 def _solve_against(
-    params: FamilyDParams, t: EdgeType, tol: float | None, limit: int = DEFAULT_LIMIT
+    params: FamilyDParams, t: EdgeType, tol: float | None
 ) -> tuple[ProductRandomGraph, float, float]:
     """(family graph, H(F_T), sum of cellwise KL terms) from one dual solve."""
     f = family_d_graph(params)
-    ft, _, report = solve_maxent(t, tol=tol, limit=limit)
+    ft, _, report = solve_maxent(t, tol=tol)
     return f, report.entropy_nats, kl_sum(ft, f)
 
 
@@ -222,19 +222,16 @@ def _prob_bounds(
     return lower, upper, exact
 
 
-def typeclass_point_prob(
-    params: FamilyDParams, t: EdgeType, tol: float | None = None, limit: int = DEFAULT_LIMIT
-) -> float:
+def typeclass_point_prob(params: FamilyDParams, t: EdgeType, tol: float | None = None) -> float:
     """Common probability of every member of T(r,c,W) under the family
     graph: exp(-H(F_T) - sum of cellwise KL terms).
 
     Forced cells of the family graph that coincide with the class's
     invariant cells contribute zero KL (the fold-into-W reduction);
     anywhere else they make the class probability non-constant and an
-    error is raised.  With W restricted, `limit` bounds the solve's
-    enumeration of the class.
+    error is raised.
     """
-    _, h, kl = _solve_against(params, t, tol, limit)
+    _, h, kl = _solve_against(params, t, tol)
     return _point_prob(h, kl)
 
 
@@ -248,7 +245,7 @@ def typeclass_prob_bounds(
     measured stand-in for the quasi-polynomial factor; above the limit
     lower is None (the universal constant is unknown).
     """
-    f, h, kl = _solve_against(params, t, tol, limit)
+    f, h, kl = _solve_against(params, t, tol)
     return _prob_bounds(f, t, h, kl, limit)
 
 
@@ -257,7 +254,7 @@ def typeclass_prob(
 ) -> tuple[float, float | None, float, float | None]:
     """(point, lower, upper, exact): typeclass_point_prob followed by
     typeclass_prob_bounds, sharing one dual solve."""
-    f, h, kl = _solve_against(params, t, tol, limit)
+    f, h, kl = _solve_against(params, t, tol)
     return (_point_prob(h, kl), *_prob_bounds(f, t, h, kl, limit))
 
 
@@ -289,7 +286,7 @@ def sanov_bounds(
         if key in seen:
             continue
         seen.add(key)
-        ft, _, report = solve_maxent(t, tol=tol, limit=limit)
+        ft, _, report = solve_maxent(t, tol=tol)
         kl = kl_sum(ft, f)
         min_kl = min(min_kl, kl)
         if n <= limit:
@@ -371,14 +368,12 @@ def decompose_single_edge(p: ProductRandomGraph) -> MixtureDecomposition:
     return MixtureDecomposition(weights=tuple(weights), atoms=tuple(atoms))
 
 
-def mixture_lower_bound(
-    mix: MixtureDecomposition, t: EdgeType, tol: float | None = None, limit: int = DEFAULT_LIMIT
-) -> float:
+def mixture_lower_bound(mix: MixtureDecomposition, t: EdgeType, tol: float | None = None) -> float:
     """exp(-H(F_T) - sum_k lambda_k * KL_k): a lower bound on the point
     probability of any class member under the mixed product graph.  An
     atom violating absolute continuity drives its KL term to +inf and the
     bound collapses to 0 (still valid, just vacuous)."""
-    ft, _, report = solve_maxent(t, tol=tol, limit=limit)
+    ft, _, report = solve_maxent(t, tol=tol)
     exponent = report.entropy_nats
     for lam, atom in zip(mix.weights, mix.atoms):
         kl = kl_sum(ft, family_d_graph(atom))

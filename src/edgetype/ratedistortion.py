@@ -145,9 +145,9 @@ def _class_facts(
     raised again on the next call."""
     n = len(r)
     t = EdgeType(r, c, DiGraph.from_bits(n, w_bits))
-    if not class_nonempty(t, limit=limit):
+    if not class_nonempty(t):
         return None
-    h = _solve(t, tol=tol, limit=limit).report.entropy_nats
+    h = _solve(t, tol=tol).report.entropy_nats
     count = _class_count(*_class_key(r, c, w_bits == (1 << n * n) - 1), w_bits, limit)
     return h, max(0.0, counting_gap(h, count, n))
 
@@ -360,7 +360,7 @@ def build_cover_random(
     from the covering pool.  With m omitted, the lemma's size formula is
     used; if that exceeds the draw cap the whole pool is returned, which
     trivially covers (every class member lies in its own pool)."""
-    if not class_nonempty(t, limit=limit):
+    if not class_nonempty(t):
         raise EmptyResult("empty class")
     if dens is None:
         dens = t.density()

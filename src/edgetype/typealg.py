@@ -9,8 +9,10 @@ components are two readings of one staircase: the degrees are sorted
 once, each row's zero cells of the structure matrix are read from prefix
 sums in O(n) without building the matrix, and both invariant masks and
 the block cuts come from them, answered in the caller's vertex labels;
-the max-entropy solve reads the same staircase.  For restricted W the
-enumeration oracle is the only route (see edgetype.enumeration).
+the max-entropy solve reads the same staircase.  For any W, non-emptiness
+and the invariant masks come from one 0/1 flow and the strongly connected
+components of its residual digraph, and the components from the masks
+(`flow_feasible`, `flow_invariants`, `components_from_masks`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import DiGraph, density, respects_restriction
+from .graphs import DiGraph, _pack, density
 
 __all__ = [
     "EdgeType",
@@ -33,7 +35,9 @@ __all__ = [
     "structure_matrix",
     "invariant_positions",
     "components_from_structure",
-    "restriction_necessary",
+    "flow_feasible",
+    "flow_invariants",
+    "components_from_masks",
     "reduce_by_invariants",
 ]
 
@@ -309,7 +313,7 @@ def invariant_positions(t: EdgeType) -> InvariantMasks:
     vertex indexing.
     """
     s = _staircase(
-        t, "invariant positions", "; use the enumeration oracle for restricted types"
+        t, "invariant positions", "; use flow_invariants for restricted types"
     )
     n = t.n
     cells = np.ix_(s.row_perm, s.col_perm)
@@ -336,17 +340,176 @@ def components_from_structure(t: EdgeType) -> ComponentPartition:
     )
 
 
-def restriction_necessary(t: EdgeType) -> bool:
-    """Necessary condition for T(r, c, W) to be nonempty: W must allow every
-    invariant-1 edge of the unrestricted class T(r, c).  True is only
-    necessary; False certifies emptiness.
+def _bit_rows(adj: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as a bitmask, bit j being column j."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _one_member(
+    r: Sequence[int], c: Sequence[int], w_rows: Sequence[int], n: int
+) -> tuple[list[int], list[int]] | None:
+    """One member of T(r, c, W) as its row bitmasks and its column bitmasks
+    (bit i of column j set when row i uses it), or None when the class is
+    empty.
+
+    A 0/1 flow: source -> row i with capacity r_i, row i -> column j with
+    capacity 1 when W allows the cell, column j -> sink with capacity c_j.
+    A greedy fill (each row, largest degree first, takes the allowed
+    columns with the most room left) is completed by augmenting paths
+    found breadth first from every row still short of its degree; the
+    class is nonempty iff the flow saturates every row.
     """
-    if t.unrestricted:
-        return gale_ryser_feasible(t.r, t.c)
-    if not gale_ryser_feasible(t.r, t.c):
-        return False
-    masks = invariant_positions(EdgeType(t.r, t.c))
-    return respects_restriction(masks.inv1, t.w)
+    if sum(r) != sum(c):
+        return None
+    rows, cols = [0] * n, [0] * n
+    room = list(c)
+    for i in sorted(range(n), key=lambda i: -r[i]):
+        allowed = sorted((j for j in range(n) if w_rows[i] >> j & 1 and room[j]), key=lambda j: -room[j])
+        for j in allowed[: r[i]]:
+            rows[i] |= 1 << j
+            cols[j] |= 1 << i
+            room[j] -= 1
+    short = [r[i] - rows[i].bit_count() for i in range(n)]
+    while any(short):
+        # breadth first over the residual graph: an empty allowed cell
+        # leads row -> column, a used cell column -> row
+        via_row: dict[int, int] = {}  # column -> the row it was reached from
+        via_col: dict[int, int] = {}  # row -> the column it was reached from
+        frontier = [i for i in range(n) if short[i]]
+        seen_rows = sum(1 << i for i in frontier)
+        seen_cols = 0
+        end = -1
+        while frontier and end < 0:
+            nxt = []
+            for i in frontier:
+                new = w_rows[i] & ~rows[i] & ~seen_cols
+                seen_cols |= new
+                while new and end < 0:
+                    j = (new & -new).bit_length() - 1
+                    new &= new - 1
+                    via_row[j] = i
+                    if room[j]:
+                        end = j
+                    reached = cols[j] & ~seen_rows
+                    seen_rows |= reached
+                    while reached:
+                        k = (reached & -reached).bit_length() - 1
+                        reached &= reached - 1
+                        via_col[k] = j
+                        nxt.append(k)
+                if end >= 0:
+                    break
+            frontier = nxt
+        if end < 0:
+            return None
+        room[end] -= 1
+        j = end
+        while True:  # flip the cells of the path
+            i = via_row[j]
+            rows[i] |= 1 << j
+            cols[j] |= 1 << i
+            if i not in via_col:
+                short[i] -= 1
+                break
+            j = via_col[i]
+            rows[i] &= ~(1 << j)
+            cols[j] &= ~(1 << i)
+    return rows, cols
+
+
+def _reach(start: int, succ: Sequence[int]) -> int:
+    """The nodes (a bitmask) reachable from `start` along `succ`, the
+    successor bitmask of every node."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            nxt |= succ[(frontier & -frontier).bit_length() - 1]
+            frontier &= frontier - 1
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
+def _flow_masks(t: EdgeType) -> tuple[list[int], list[int]] | None:
+    """The invariant-1 and invariant-0 rows (bitmasks) of T(r, c, W), or
+    None when the class is empty.
+
+    Two members differ by a union of alternating cycles in the residual
+    digraph of one member on rows and columns (the source and sink edges
+    are saturated, so no cycle passes them): an empty allowed cell points
+    row -> column, a used cell column -> row.  So an allowed cell is free
+    iff its row and column share a strongly connected component, and is
+    otherwise invariant 1 when used and invariant 0 when empty; forbidden
+    cells are invariant 0 (Régin, AAAI 1994; Tassa, TCS 2012).
+    """
+    n = t.n
+    w_rows = _bit_rows(t.w.adj)
+    member = _one_member(t.r, t.c, w_rows, n)
+    if member is None:
+        return None
+    rows, cols = member
+    # node i is row i, node n + j is column j
+    succ = [(w & ~x) << n for w, x in zip(w_rows, rows)] + cols
+    pred = [x << n for x in rows] + [w & ~x for w, x in zip(_bit_rows(t.w.adj.T), cols)]
+    component = [0] * 2 * n
+    left = (1 << 2 * n) - 1
+    while left:
+        v = left & -left
+        scc = _reach(v, succ) & _reach(v, pred)
+        left &= ~scc
+        while scc:
+            component[(scc & -scc).bit_length() - 1] = scc
+            scc &= scc - 1
+    full = (1 << n) - 1
+    free = [w_rows[i] & component[i] >> n & full for i in range(n)]
+    inv1 = [x & ~f for x, f in zip(rows, free)]
+    return inv1, [full & ~(x | f) for x, f in zip(inv1, free)]
+
+
+def flow_feasible(t: EdgeType) -> bool:
+    """Whether T(r, c, W) has a member, for any W, by one 0/1 flow."""
+    return _one_member(t.r, t.c, _bit_rows(t.w.adj), t.n) is not None
+
+
+def flow_invariants(t: EdgeType) -> InvariantMasks:
+    """Invariant masks of a nonempty T(r, c, W), for any W, from the
+    strongly connected components of one member's residual digraph (see
+    `_flow_masks`), in t's vertex labels."""
+    found = _flow_masks(t)
+    if found is None:
+        raise EmptyResult("empty class has no invariant positions")
+    n = t.n
+    inv1, inv0 = (np.unpackbits(_pack(rows, (n + 7) // 8), axis=1, count=n, bitorder="little") for rows in found)
+    return InvariantMasks(DiGraph(inv1), DiGraph(inv0), DiGraph(1 - inv1 - inv0))
+
+
+def components_from_masks(masks: InvariantMasks) -> ComponentPartition:
+    """Component partition read off a class's invariant masks, in their
+    vertex labels.
+
+    An invariance corner (e, f) is a cut pair where every member has an
+    all-ones top-left e x f block and an all-zeros bottom-right block, that
+    is where the first block lies in the invariant 1-cells and the second
+    in the invariant 0-cells; the distinct interior corner coordinates cut
+    [n] into the row and column blocks, and a block is trivial when all its
+    cells are invariant.  For normalized unrestricted types this matches
+    the zero cells of the structure matrix.
+    """
+    inv1, inv0 = masks.inv1.adj.astype(np.int64), masks.inv0.adj.astype(np.int64)
+    n = len(inv1)
+    ones = np.zeros((n + 1, n + 1), dtype=np.int64)  # ones[e, f]: inv1 cells in [:e, :f]
+    ones[1:, 1:] = inv1.cumsum(axis=0).cumsum(axis=1)
+    zeros = np.zeros((n + 1, n + 1), dtype=np.int64)  # zeros[e, f]: inv0 cells in [e:, f:]
+    zeros[:n, :n] = inv0[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
+    e = np.arange(n + 1)
+    corner = (ones == np.outer(e, e)) & (zeros == np.outer(n - e, n - e))
+    return ComponentPartition.from_cuts(
+        (np.flatnonzero(corner[1:n].any(axis=1)) + 1).tolist(),
+        (np.flatnonzero(corner[:, 1:n].any(axis=0)) + 1).tolist(),
+        masks.free.adj,
+    )
 
 
 def reduce_by_invariants(t: EdgeType, masks: InvariantMasks) -> EdgeType:

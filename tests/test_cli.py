@@ -3,9 +3,11 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ INFEASIBLE = {"r": [2, 0], "c": [2, 0]}
 ZERO_VERTICES = {"r": [], "c": []}
 PERMUTATIONS_3 = {"r": [1, 1, 1], "c": [1, 1, 1]}
 NO_LOOPS_3 = {"n": 3, "adj": [[int(i != j) for j in range(3)] for i in range(3)]}
-# the 1854 derangements of 7 vertices: W = no loops, so the solve enumerates the class
+# the 1854 derangements of 7 vertices: W = no loops, n above the default --limit
 DERANGEMENTS_7 = {"r": [1] * 7, "c": [1] * 7, "w": {"n": 7, "adj": [[int(i != j) for j in range(7)] for i in range(7)]}}
 
 
@@ -235,18 +237,28 @@ class TestMaxentAndBounds:
             assert got["measured_gap"] is None
 
     def test_limit_reaches_restricted_solve(self, capsys, write_json):
+        # the restricted solve needs no --limit; the count in `bounds` does
         t = write_json(DERANGEMENTS_7)
-        code, out = run(capsys, "maxent", "--type", t, "--limit", "7")
+        code, out = run(capsys, "maxent", "--type", t)
         assert code == 0 and len(json.loads(out)["p"]) == 7
         code, out = run(capsys, "bounds", "--type", t, "--limit", "7")
         assert code == 0 and json.loads(out)["count"] == 1854
 
     @pytest.mark.parametrize("cmd", ["maxent", "bounds"])
     def test_restricted_solve_above_default_limit_exit_four(self, capsys, write_json, cmd):
-        code = main([cmd, "--type", write_json(DERANGEMENTS_7)])
-        captured = capsys.readouterr()
-        assert code == 4 and captured.out == ""
-        assert "limit 6" in captured.err
+        # the invariant cells come from a flow, so the solve answers above
+        # --limit (it used to exit 4); only the count is left out of `bounds`
+        t = parse_type(DERANGEMENTS_7)
+        assert enumeration.count_class(t, limit=7) > 0
+        code, out = run(capsys, cmd, "--type", write_json(DERANGEMENTS_7))
+        got = json.loads(out)
+        assert code == 0
+        alpha = maxent.solve_maxent(t)[2].alpha
+        assert 1854 < alpha and got["alpha"] == alpha
+        if cmd == "maxent":
+            assert np.allclose(got["p"], (1 - np.eye(7)) / 6, rtol=0, atol=1e-12)
+        else:
+            assert got == {"alpha": alpha, "measured_gap": None}
 
     def test_nonconvergence_unreachable_on_feasible_small(self, capsys, write_json):
         # empty classes are reported as empty (exit 1), not as solver failures
@@ -349,10 +361,9 @@ class TestMatrixJson:
         "argv, code",
         [
             (["--type", INFEASIBLE], 1),
-            (["--type", DERANGEMENTS_7], 4),
             (["--type", PERMUTATIONS_3, "--tol", "-1"], 2),
         ],
-        ids=["infeasible", "over-limit", "negative-tol"],
+        ids=["infeasible", "negative-tol"],
     )
     def test_failing_maxent_writes_no_file(self, capsys, write_json, tmp_path, argv, code):
         dest = tmp_path / "p.json"
@@ -1031,6 +1042,23 @@ class TestErrorHandling:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "spec, fragment",
+        [
+            ({"r": [1.7, 1, 1], "c": [1, 1, 1]}, "degree 1.7 is not an integer"),
+            ({"r": [True, 1, 1], "c": [1, 1, 1]}, "degree True is not an integer"),
+            ({**PERMUTATIONS_3, "w": {"n": 3, "adj": [[1, 1, 0.5], [1, 1, 1], [1, 1, 1]]}},
+             "adjacency entry 0.5 is not 0 or 1"),
+        ],
+        ids=["fractional-degree", "boolean-degree", "fractional-w-entry"],
+    )
+    def test_inexact_input_exit_two(self, capsys, write_json, spec, fragment):
+        # each was once read by truncation: count printed 6, 6 and 4 and exited 0
+        code = main(["count", "--type", write_json(spec)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("invalid input: ") and fragment in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             (cmd, "--type", ZERO_VERTICES, *extra)
@@ -1126,15 +1154,15 @@ class TestErrorHandling:
 
 # The long options of each subcommand besides --out, which all of them take.
 LONG_OPTIONS = {
-    "feasible": {"type", "limit"},
+    "feasible": {"type"},
     "normalize": {"type"},
     "structure": {"type"},
-    "invariants": {"type", "limit"},
-    "components": {"type", "limit"},
+    "invariants": {"type"},
+    "components": {"type"},
     "count": {"type", "limit"},
     "enumerate": {"type", "limit", "delta", "dens"},
     "interchange-check": {"type", "limit"},
-    "maxent": {"type", "tol", "limit"},
+    "maxent": {"type", "tol"},
     "bounds": {"type", "tol", "limit"},
     "prob": {"type", "params", "tol", "limit"},
     "sanov": {"params", "types", "tol", "limit"},
@@ -1162,6 +1190,22 @@ class TestFlags:
 
     def test_every_subcommand_listed(self):
         assert set(self.subcommands()) == set(LONG_OPTIONS)
+
+    def test_readme_synopsis_lists_each_flag(self):
+        """Each `edgetype <cmd>` line of README's CLI synopsis names exactly
+        the long options the parser gives that subcommand, besides --out."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        cli = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        block = cli.split("```sh\n", 1)[1].split("```", 1)[0]
+        listed = {}
+        for line in block.splitlines():
+            if line.startswith("edgetype "):
+                synopsis = line.split("#", 1)[0]
+                listed[synopsis.split()[1]] = set(re.findall(r"--([a-z][a-z0-9-]*)", synopsis))
+        assert set(listed) == set(self.subcommands())
+        for name, sp in self.subcommands().items():
+            got = {s[2:] for a in sp._actions for s in a.option_strings if s.startswith("--")}
+            assert listed[name] == got - {"out", "help"}, name
 
 
 class TestDeterminism:

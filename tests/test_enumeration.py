@@ -348,9 +348,13 @@ class TestClassDispatch:
         assert class_invariants(tw) == invariants_by_enumeration(tw)
 
     def test_restricted_nonempty_respects_limit(self):
+        # a flow question, so no enumeration limit applies (this once raised
+        # EnumerationLimitError); each answer is checked by counting the class
+        derangements = EdgeType((1,) * 7, (1,) * 7, DiGraph([[int(i != j) for j in range(7)] for i in range(7)]))
         w = DiGraph([[1] * 7] * 6 + [[0] * 7])
-        with pytest.raises(EnumerationLimitError):
-            class_nonempty(EdgeType((1,) * 6 + (0,), (1,) * 6 + (0,), w))
+        types = [derangements, EdgeType((1,) * 6 + (0,), (1,) * 6 + (0,), w), EdgeType((1,) * 7, (1,) * 7, w)]
+        assert [class_nonempty(t) for t in types] == [count_class(t, limit=7) > 0 for t in types]
+        assert [class_nonempty(t) for t in types] == [True, True, False]
 
 
 def seeded_types(n, count=8):

@@ -428,8 +428,9 @@ class TestBarvinokBounds:
 # r = c = (1,) * 7 with W = no loops: the 1854 derangements of 7 vertices
 DERANGEMENTS_7 = EdgeType((1,) * 7, (1,) * 7, DiGraph([[int(i != j) for j in range(7)] for i in range(7)]))
 UNIFORM_7 = probability.FamilyDParams(a=(0.0,) * 7, b=(0.0,) * 7, w=DERANGEMENTS_7.w)
+# Each call's answer with the counted parts that n > limit leaves out marked None.
 LIMITED_CALLS = {
-    "solve_maxent": solve_maxent,
+    "solve_maxent": lambda t, **kw: (solve_maxent(t)[2].alpha,),
     "barvinok_bounds": barvinok_bounds,
     "typeclass_prob": lambda t, **kw: probability.typeclass_prob(UNIFORM_7, t, **kw),
     "typeclass_prob_bounds": lambda t, **kw: probability.typeclass_prob_bounds(UNIFORM_7, t, **kw),
@@ -439,17 +440,27 @@ LIMITED_CALLS = {
     ),
     "rd_bounds": lambda t, **kw: ratedistortion.rd_bounds(t, 0, 0.0, 0.2, **kw),
 }
+# The calls that need the count for every term, so refuse n above the limit.
+REFUSED = {"delta_class_cardinality_bounds", "rd_bounds"}
 
 
 class TestRestrictedSolveLimit:
-    """With W restricted the solve enumerates the class for its invariant
-    cells, so a caller's `limit` must reach it."""
+    """With W restricted the solve reads the invariant cells off one 0/1
+    flow, so it answers above `limit` (`solve_maxent` takes none); a
+    caller's `limit` still gates counting the class."""
 
     @pytest.mark.parametrize("name", LIMITED_CALLS)
     def test_limit_reaches_the_solve(self, name):
-        with pytest.raises(EnumerationLimitError, match="limit 6"):
-            LIMITED_CALLS[name](DERANGEMENTS_7)
-        LIMITED_CALLS[name](DERANGEMENTS_7, limit=7)
+        call = LIMITED_CALLS[name]
+        if name in REFUSED:
+            with pytest.raises(EnumerationLimitError, match="limit 6"):
+                call(DERANGEMENTS_7)
+        else:
+            assert (None in call(DERANGEMENTS_7)) == (name != "solve_maxent")
+        assert None not in call(DERANGEMENTS_7, limit=7)
+        if name == "solve_maxent":
+            f, _, _ = solve_maxent(DERANGEMENTS_7)
+            assert np.allclose(f.p, (1 - np.eye(7)) / 6, rtol=0, atol=1e-12)
 
     def test_count_within_raised_limit(self):
         _, gap, count = barvinok_bounds(DERANGEMENTS_7, limit=7)

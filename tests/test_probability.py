@@ -8,7 +8,6 @@ import pytest
 from edgetype import enumeration, probability
 from edgetype.enumeration import (
     DEFAULT_LIMIT,
-    EnumerationLimitError,
     enumerate_class,
     enumerate_delta_class,
     partition_by_type,
@@ -312,13 +311,13 @@ class TestPointProb:
         t = EdgeType((1,) * 7, (1,) * 7, no_loops)
         params = FamilyDParams((0.0,) * 7, (0.0,) * 7, no_loops)
         mix = MixtureDecomposition(weights=(1.0,), atoms=(params,))
-        with pytest.raises(EnumerationLimitError):
-            typeclass_point_prob(params, t)
-        with pytest.raises(EnumerationLimitError):
-            mixture_lower_bound(mix, t)
-        point = typeclass_point_prob(params, t, limit=7)
+        # the solve reads the invariant cells off a flow, so neither call
+        # takes a limit (both once raised EnumerationLimitError here)
+        point = typeclass_point_prob(params, t)
         assert point == typeclass_prob(params, t, limit=7)[0]
-        assert mixture_lower_bound(mix, t, limit=7) == pytest.approx(point, rel=1e-12)
+        assert mixture_lower_bound(mix, t) == pytest.approx(point, rel=1e-12)
+        # every member of the class has probability point under the uniform family
+        assert point == pytest.approx(2.0**-42, rel=1e-12)
 
 
 class TestProbBounds:

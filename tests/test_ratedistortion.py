@@ -518,9 +518,9 @@ def fresh_facts(r, c, w, tol=None, limit=6):
     """(H, gap floored at 0) of the type (r, c) under w, or None when its
     class is empty, computed without any memo."""
     t = EdgeType(r, c, w)
-    if not class_nonempty(t, limit=limit):
+    if not class_nonempty(t):
         return None
-    h = solve_maxent(t, tol=tol, limit=limit)[2].entropy_nats
+    h = solve_maxent(t, tol=tol)[2].entropy_nats
     return h, max(0.0, counting_gap(h, count_class(t, limit=limit), t.n))
 
 

@@ -12,8 +12,8 @@ from edgetype.typealg import (
     gale_ryser_feasible,
     invariant_positions,
     normalize,
+    flow_feasible,
     reduce_by_invariants,
-    restriction_necessary,
     structure_matrix,
 )
 
@@ -362,19 +362,25 @@ class TestComponents:
 
 
 class TestRestrictionNecessary:
+    """The cases of the former necessary condition `restriction_necessary`
+    (W must allow every invariant-1 cell of the unrestricted class), now
+    decided exactly by one 0/1 flow."""
+
     def test_complete_is_feasibility(self):
-        assert restriction_necessary(EdgeType((1, 1), (1, 1)))
-        assert not restriction_necessary(EdgeType((2, 0), (2, 0)))
+        assert flow_feasible(EdgeType((1, 1), (1, 1)))
+        assert not flow_feasible(EdgeType((2, 0), (2, 0)))
 
     def test_golden_missing_inv1_edge(self):
-        w = DiGraph(1 - np.eye(11, dtype=np.uint8)[::-1][::-1] * 0)  # complete
         adj = np.ones((11, 11), dtype=np.uint8)
         adj[0, 0] = 0  # cell (1,1) is an invariant 1-position
-        assert not restriction_necessary(EdgeType(GOLDEN_R, GOLDEN_C, DiGraph(adj)))
+        assert not flow_feasible(EdgeType(GOLDEN_R, GOLDEN_C, DiGraph(adj)))
+        assert flow_feasible(EdgeType(GOLDEN_R, GOLDEN_C))
 
     def test_no_inv1_cells_passes(self):
         w = DiGraph([[0, 1], [1, 0]])
-        assert restriction_necessary(EdgeType((1, 1), (1, 1), w))
+        assert flow_feasible(EdgeType((1, 1), (1, 1), w))
+        # no invariant-1 cell is forbidden here either, yet row 2 has no allowed cell
+        assert not flow_feasible(EdgeType((1, 1), (1, 1), DiGraph([[1, 1], [0, 0]])))
 
 
 class TestReduceByInvariants:
