@@ -137,10 +137,11 @@ def test_flow_answers_where_enumeration_cannot():
     w = DiGraph(1 - np.eye(n, dtype=np.uint8))
     masks = flow_invariants(EdgeType((3,) * n, (3,) * n, w))
     assert masks.free == w and masks.inv0 == DiGraph(np.eye(n, dtype=np.uint8))
-    # a W that forbids the only cells a row may use
+    # rows 0 and 1 need 4 ones from the 3 columns W leaves them, each of degree 1
+    r, c = (2, 2) + (1,) * (n - 2), (2, 2) + (1,) * (n - 2)
     adj = np.ones((n, n), dtype=np.uint8)
-    adj[0, : n - 2] = 0
-    assert not flow_feasible(EdgeType((3,) + (1,) * (n - 1), (1,) * (n - 3) + (2, 2, 2), DiGraph(adj)))
+    adj[:2, : n - 3] = 0
+    assert flow_feasible(EdgeType(r, c)) and not flow_feasible(EdgeType(r, c, DiGraph(adj)))
 
 
 class TestCountDP:
