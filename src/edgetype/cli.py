@@ -67,22 +67,29 @@ def parse_type(obj) -> EdgeType:
     return EdgeType(r, c, w)
 
 
-def _degrees(values) -> tuple[int, ...]:
-    """A degree vector: a list of JSON integers (a boolean is not one)."""
+def _degrees(values) -> tuple:
+    """A degree vector: a JSON list, whose entries `EdgeType` checks to be
+    integers (a boolean is not one)."""
     if not isinstance(values, list):
         raise ValueError(f"degrees must be a list, got {values!r}")
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"degree {v!r} is not an integer")
     return tuple(values)
 
 
 def _ext_real(v) -> float:
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return float(v)
+    """A family parameter: a JSON number (a boolean is not one) or the
+    string "inf" or "-inf"."""
+    if v in ("inf", "-inf"):
+        return float(v)
+    if v == "nan":
+        raise ValueError("family parameters must not be NaN")
+    if type(v) is float:
+        return v
+    if type(v) is not int:
+        raise ValueError(f'family parameter {v!r} is not a number, "inf" or "-inf"')
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"family parameter {v} is out of float range") from None
 
 
 def parse_family_params(obj) -> probability.FamilyDParams:
@@ -125,26 +132,36 @@ def _write(chunks: list[str], out_path: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _matrix_chunks(p: np.ndarray) -> list[str]:
-    """`json.dumps(p.tolist())` as chunks: "[", one per row of p with the
-    ", " before it, and "]".  Each distinct row of p is encoded once and its
-    chunk shared; F_T has few distinct rows and columns, and telling them
-    apart by bytes keeps it exact."""
-    (row_reps, row_of), (col_reps, col_of) = _distinct(p), _distinct(p.T)
-    # a float's JSON text holds no ", ", so an encoded row splits into its cells
-    cells = [json.dumps(x)[1:-1].split(", ") for x in p[np.ix_(row_reps, col_reps)].tolist()]
-    rows = [", [" + ", ".join([cell[j] for j in col_of]) + "]" for cell in cells]
-    chunks = ["[", *[rows[i] for i in row_of], "]"]
-    if len(p):
+def _float_texts(x: np.ndarray) -> np.ndarray:
+    """The JSON text of every entry of a float array, as a str array of its
+    shape; each distinct bit pattern is encoded once, so -0.0 and NaN keep
+    their own text."""
+    bits = np.ascontiguousarray(x, dtype=float).view(np.int64)
+    # a stable argsort, then a search: np.unique's hash table and numpy's
+    # SIMD sort would each page in a new kernel on the first call
+    flat = bits.ravel()[np.argsort(bits, axis=None, kind="stable")]
+    distinct = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    # a float's JSON text holds no ", ", so the encoded list splits into its entries
+    texts = json.dumps(distinct.view(float).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[np.searchsorted(distinct, bits)]
+
+
+def _vector_json(x: np.ndarray, labels: np.ndarray) -> str:
+    """`json.dumps(x[labels].tolist())`, each entry of x encoded once."""
+    return "[" + ", ".join(_float_texts(x)[labels].tolist()) + "]"
+
+
+def _matrix_chunks(block: np.ndarray, row: np.ndarray, col: np.ndarray) -> list[str]:
+    """`json.dumps(block[np.ix_(row, col)].tolist())` as chunks: "[", one
+    per row with the ", " before it, and "]".  Each row of the block is
+    encoded once and its chunk shared by every row labelled with it; F_T
+    has few distinct rows, and few distinct values."""
+    cells = _float_texts(block)[:, col].tolist()
+    rows = [", [" + ", ".join(cell) + "]" for cell in cells]
+    chunks = ["[", *[rows[i] for i in row.tolist()], "]"]
+    if len(row):
         chunks[1] = chunks[1][2:]  # no separator before the first row
     return chunks
-
-
-def _distinct(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """First index of each distinct row of m, and the label of every row."""
-    seen: dict[bytes, int] = {}
-    labels = [seen.setdefault(row.tobytes(), len(seen)) for row in m]
-    return np.unique(labels, return_index=True)[1], labels
 
 
 def _dens(args, t: EdgeType) -> int:
@@ -271,20 +288,22 @@ def cmd_interchange_check(args) -> int:
 
 def cmd_maxent(args) -> int:
     t = parse_type(_load_json(args.type))
-    f, v, report = maxent.solve_maxent(t, tol=args.tol)
-    fields = {  # every key but p, which is encoded on its own
-        "s": list(v.s),
-        "t": list(v.t),
+    sol = maxent._solve(t, tol=args.tol)
+    g, report = sol.groups, sol.report
+    fields = {  # every key but p, s and t, which are encoded by group
         "alpha": report.alpha,
         "entropy_nats": report.entropy_nats,
         "entropy_bits": report.entropy_nats / math.log(2),
         "iterations": report.iterations,
         "margins_residual": report.grad_norm,
     }
-    items = {k: f"{json.dumps(k)}: {json.dumps(x)}" for k, x in fields.items()}
+    texts = {k: json.dumps(x) for k, x in fields.items()}
+    texts["s"], texts["t"] = _vector_json(sol.a, g.row_of), _vector_json(sol.b, g.col_of)
+    items = {k: f"{json.dumps(k)}: {x}" for k, x in texts.items()}
     before = "".join(items[k] + ", " for k in sorted(items) if k < "p")
     after = "".join(", " + items[k] for k in sorted(items) if k > "p")
-    _write(["{" + before + '"p": ', *_matrix_chunks(f.p), after + "}\n"], args.out)
+    p = _matrix_chunks(sol.p_block(), g.labels.row, g.labels.col)
+    _write(["{" + before + '"p": ', *p, after + "}\n"], args.out)
     return EXIT_OK
 
 

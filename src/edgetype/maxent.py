@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,13 +148,28 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+class _PLabels(NamedTuple):
+    """The rows (resp. columns) of p told apart: two vertices share a label
+    when their rows of p are equal by construction, so p is
+    block[np.ix_(row, col)] for a block with one entry per label cell.  The
+    solver group of each label, and which label cells are free and which
+    invariant 1."""
+
+    row: np.ndarray
+    col: np.ndarray
+    row_group: np.ndarray
+    col_group: np.ndarray
+    free: np.ndarray
+    inv1: np.ndarray
+
+
 class _Groups(NamedTuple):
     """The reduced dual of a class with one variable per group of
     interchangeable rows (resp. columns): the group of every vertex, with
     groups labelled by first appearance in vertex order; the group sizes;
     each group's reduced degree; the number of free vertex cells in each
-    group cell; and a callable giving the free and the invariant-1 cells
-    in vertex labels, built only when p is."""
+    group cell; and the p-labels, which refine the groups by their
+    invariant cells."""
 
     row_of: np.ndarray
     col_of: np.ndarray
@@ -163,7 +178,7 @@ class _Groups(NamedTuple):
     r: np.ndarray
     c: np.ndarray
     cells: np.ndarray
-    masks: Callable[[], tuple[np.ndarray, np.ndarray]]
+    labels: _PLabels
 
 
 def _orbits(deg: Sequence[int], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,13 +205,17 @@ def _restricted_groups(t: EdgeType) -> _Groups:
     """Groups of a restricted class: its invariant cells come from one 0/1
     flow (`typealg.flow_invariants`), and two rows share a group when their
     reduced degrees and their allowed free cells agree (`_orbits`),
-    likewise columns."""
+    likewise columns.  A group's rows share a row of p when their
+    invariant-1 cells agree too."""
     masks = flow_invariants(t)
     reduced = reduce_by_invariants(t, masks)
-    w = reduced.w.adj
+    w, inv1 = reduced.w.adj, masks.inv1.adj
     row_of, row_rep = _orbits(reduced.r, w)
     col_of, col_rep = _orbits(reduced.c, w.T)
     mr, mc = np.bincount(row_of), np.bincount(col_of)
+    row_lab, row_lrep = _orbits(row_of.tolist(), inv1)
+    col_lab, col_lrep = _orbits(col_of.tolist(), inv1.T)
+    lab_cells = np.ix_(row_lrep, col_lrep)
     return _Groups(
         row_of,
         col_of,
@@ -205,15 +224,14 @@ def _restricted_groups(t: EdgeType) -> _Groups:
         np.asarray(reduced.r, dtype=float)[row_rep],
         np.asarray(reduced.c, dtype=float)[col_rep],
         (w[row_rep][:, col_rep] * np.outer(mr, mc)).astype(float),
-        lambda: (w, masks.inv1.adj),
+        _PLabels(
+            row_lab, col_lab, row_of[row_lrep], col_of[col_lrep], w[lab_cells] == 1, inv1[lab_cells] == 1
+        ),
     )
 
 
-def _first_appearance(deg: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Label of every vertex by its key (degree, free run [lo, hi)), every
-    empty run being one key; labels follow first appearance."""
-    n = len(deg)
-    key = deg * (n + 1) ** 2 + np.where(lo < hi, lo * (n + 1) + hi, 0)
+def _first_appearance(key: np.ndarray) -> np.ndarray:
+    """Label of every vertex by its key, labels following first appearance."""
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
@@ -227,8 +245,11 @@ def _unrestricted_groups(t: EdgeType) -> _Groups:
     staircase, and a_i, b_i never rise with i, so sorted column j is free
     exactly on the sorted rows [#{a_i > j}, #{b_i > j}).  A vertex's free
     cells are thus one run of the other side's sorted positions, and its
-    group key is (reduced degree, run): the partition `_orbits` makes of
-    the reduced type, with the same labels.
+    group key is (reduced degree, run), every empty run being one run: the
+    partition `_orbits` makes of the reduced type, with the same labels.
+    A row's p is 1 before its run and 0 after it, so a row's p-label is
+    (group, a_i), and a column's (group, #{a_i > j}): a degree-0 and a
+    degree-n row share a group but not a row of p.
     """
     s = _staircase(t, "invariant positions")
     n = t.n
@@ -238,18 +259,22 @@ def _unrestricted_groups(t: EdgeType) -> _Groups:
     def above(ends):  # #{i : ends[i] > j} per sorted position j
         return n - np.searchsorted(ends[::-1], np.arange(n), side="right")
 
+    def key(deg, lo, hi):  # (degree, run), every empty run being one run
+        return deg * (n + 1) ** 2 + np.where(lo < hi, lo * (n + 1) + hi, 0)
+
     a, b = s.inv1_end[row_pos], s.inv0_start[row_pos]
     lo, hi = above(s.inv1_end)[col_pos], above(s.inv0_start)[col_pos]
     r_hat, c_hat = np.asarray(t.r) - a, np.asarray(t.c) - lo
-    row_of, col_of = _first_appearance(r_hat, a, b), _first_appearance(c_hat, lo, hi)
+    row_of, col_of = _first_appearance(key(r_hat, a, b)), _first_appearance(key(c_hat, lo, hi))
     mr, mc = np.bincount(row_of), np.bincount(col_of)
     row_rep, col_rep = _representatives(row_of, len(mr)), _representatives(col_of, len(mc))
-    q = col_pos[col_rep]
-    free = (a[row_rep, None] <= q) & (q < b[row_rep, None])
+    row_lab, col_lab = _first_appearance(row_of * (n + 1) + a), _first_appearance(col_of * (n + 1) + lo)
+    row_lrep = _representatives(row_lab, row_lab.max() + 1)
+    col_lrep = _representatives(col_lab, col_lab.max() + 1)
 
-    def masks():
-        q = col_pos[None, :]
-        return (a[:, None] <= q) & (q < b[:, None]), q < a[:, None]
+    def run_masks(rows, cols):  # the free and the invariant-1 cells of rows x cols
+        q, a_i, b_i = col_pos[cols], a[rows, None], b[rows, None]
+        return (a_i <= q) & (q < b_i), q < a_i
 
     return _Groups(
         row_of,
@@ -258,8 +283,8 @@ def _unrestricted_groups(t: EdgeType) -> _Groups:
         mc,
         r_hat[row_rep].astype(float),
         c_hat[col_rep].astype(float),
-        (free * np.outer(mr, mc)).astype(float),
-        masks,
+        (run_masks(row_rep, col_rep)[0] * np.outer(mr, mc)).astype(float),
+        _PLabels(row_lab, col_lab, row_of[row_lrep], col_of[col_lrep], *run_masks(row_lrep, col_lrep)),
     )
 
 
@@ -369,6 +394,13 @@ class _Solution(NamedTuple):
     sig: np.ndarray
     report: SolveReport
 
+    def p_block(self) -> np.ndarray:
+        """p on the p-labels: F_T's p is p_block()[np.ix_(labels.row, labels.col)],
+        sigma(a_g + b_h) on free cells and 1 or 0 on invariant ones."""
+        lab = self.groups.labels
+        sig = self.sig[np.ix_(lab.row_group, lab.col_group)]
+        return np.clip(np.where(lab.free, sig, lab.inv1), 0.0, 1.0)
+
 
 def _solve(t: EdgeType, tol: float | None = None, init: DualVars | None = None) -> _Solution:
     """Solve the dual of a nonempty class with one variable per group;
@@ -422,9 +454,7 @@ def solve_maxent(
     """
     sol = _solve(t, tol=tol, init=init)
     g = sol.groups
-    free, inv1 = g.masks()
-    p = np.where(free, sol.sig[np.ix_(g.row_of, g.col_of)], inv1)
-    f = ProductRandomGraph(p=p, w=t.w)
+    f = ProductRandomGraph(p=sol.p_block()[np.ix_(g.labels.row, g.labels.col)], w=t.w)
     dual = DualVars(tuple(sol.a[g.row_of].tolist()), tuple(sol.b[g.col_of].tolist()))
     return f, dual, sol.report
 

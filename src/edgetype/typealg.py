@@ -64,11 +64,15 @@ class EdgeType:
             object.__setattr__(self, "w", DiGraph.complete(n))
         if self.w.n != n:
             raise ValueError("restriction graph size must match degree vectors")
+        deg = []  # an integer (a numpy one too, but not a bool) in [0, n]
         for v in (*self.r, *self.c):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"degree {v!r} is not an integer")
             if not 0 <= v <= n:
                 raise ValueError(f"degree {v} outside [0, {n}]")
-        object.__setattr__(self, "r", tuple(int(v) for v in self.r))
-        object.__setattr__(self, "c", tuple(int(v) for v in self.c))
+            deg.append(int(v))
+        object.__setattr__(self, "r", tuple(deg[:n]))
+        object.__setattr__(self, "c", tuple(deg[n:]))
 
     @property
     def n(self) -> int:

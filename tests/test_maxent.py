@@ -373,6 +373,26 @@ class TestDegreeSequenceSolve:
             assert groups.row_of.tolist() == row_of.tolist(), (name, t.r, t.c)
             assert groups.col_of.tolist() == col_of.tolist(), (name, t.r, t.c)
 
+    def test_p_labels_tell_rows_apart_by_group_and_invariant_cells(self):
+        # rows sharing a p-label share their group, free cells and invariant-1 cells, so
+        # their rows of p agree; a label of the group key alone merges degree-0 and degree-n rows
+        split = 0
+        for name, t in degree_sequence_types():
+            if t.n > 30:
+                break
+            masks = invariant_positions(t)
+            g = maxent._unrestricted_groups(t)
+            for lab, of, free, inv1 in (
+                (g.labels.row, g.row_of, masks.free.adj, masks.inv1.adj),
+                (g.labels.col, g.col_of, masks.free.adj.T, masks.inv1.adj.T),
+            ):
+                keys = {}
+                for k, key in zip(lab.tolist(), zip(of.tolist(), map(bytes, free), map(bytes, inv1))):
+                    assert keys.setdefault(k, key) == key, (name, t.r, t.c)
+                assert len(set(keys.values())) == len(keys), (name, t.r, t.c)
+            split += len(set(g.labels.row.tolist())) > len(g.mr)
+        assert split > 0
+
     def test_no_structure_matrix_and_no_orbits(self, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("called with W complete")

@@ -122,6 +122,37 @@ def all_degree_pairs(n):
             yield r, c
 
 
+class TestEdgeTypeDegrees:
+    @pytest.mark.parametrize(
+        "bad, fragment",
+        [
+            (1.7, "degree 1.7 is not an integer"),
+            (1.0, "degree 1.0 is not an integer"),
+            (True, "degree True is not an integer"),
+            (np.bool_(True), "is not an integer"),
+            (np.float64(1.0), "is not an integer"),
+            ("1", "degree '1' is not an integer"),
+            (None, "degree None is not an integer"),
+            (4, "degree 4 outside [0, 3]"),
+            (-1, "degree -1 outside [0, 3]"),
+            (np.int64(4), "degree 4 outside [0, 3]"),
+        ],
+        ids=["fraction", "integral-float", "bool", "numpy-bool", "numpy-float", "str", "none",
+             "above-n", "negative", "numpy-above-n"],
+    )
+    def test_refused(self, bad, fragment):
+        # a non-integer was once cast with int(), so (1.7, 1, 1) and (True, 1, 1) became (1, 1, 1)
+        for r, c in (((bad, 1, 1), (1, 1, 1)), ((1, 1, 1), (1, bad, 1))):
+            with pytest.raises(ValueError) as err:
+                EdgeType(r, c)
+            assert fragment in str(err.value)
+
+    def test_numpy_integers_become_ints(self):
+        t = EdgeType(tuple(np.array([2, 1, 0])), (np.int8(1), np.uint64(1), 1))
+        assert t == EdgeType((2, 1, 0), (1, 1, 1))
+        assert all(type(v) is int for v in (*t.r, *t.c))
+
+
 class TestGaleRyser:
     def test_simple_feasible(self):
         assert gale_ryser_feasible((1, 1), (1, 1))
