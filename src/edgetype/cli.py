@@ -382,6 +382,8 @@ def cmd_distortion(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    if args.m is not None and args.m < 0:
+        raise ValueError("m must be nonnegative")
     t = parse_type(_load_json(args.type))
     dens, delta = _dens(args, t), _delta(args)
     book = ratedistortion.build_cover_random(

@@ -32,7 +32,6 @@ from .typealg import (
     EdgeType,
     EmptyResult,
     InvariantMasks,
-    _class_key,
     components_from_masks,
     flow_feasible,
     flow_invariants,
@@ -60,17 +59,17 @@ __all__ = [
 ]
 
 DEFAULT_LIMIT = 6
-MEMO_SIZE = 4096  # entries of each process-wide memo of per-class facts
 
 
 class EnumerationLimitError(RuntimeError):
     """Raised when a brute-force operation exceeds the configured size limit."""
 
 
-def _check_limit(n: int, limit: int) -> None:
+def _check_limit(n: int, limit: int, counting: bool = False) -> None:
     if n > limit:
         raise EnumerationLimitError(
-            f"n={n} exceeds enumeration limit {limit} (estimated work 2^{n * n})"
+            f"n={n} exceeds counting limit {limit}" if counting
+            else f"n={n} exceeds enumeration limit {limit} (estimated work 2^{n * n})"
         )
 
 
@@ -165,88 +164,98 @@ def enumerate_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> Iterator[DiGraph
 
 
 def count_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> int:
-    """|T(r, c, W)| by an exact dynamic program over column classes.
+    """|T(r, c, W)| by an exact dynamic program over column classes
+    (`_count_within` with every degree interval a single value)."""
+    return _count_within(t, (t.r, t.r), (t.c, t.c), limit)
 
-    Rows are placed one at a time, in non-increasing degree order (W's rows
-    permuted alike).  A column class is the pair (residual column degree,
-    W bits of the column in the rows not yet placed); columns of one class
-    are interchangeable, so the state is the multiset of classes, held as
-    sorted (degree, pattern, multiplicity) triples without the finished
-    columns.  Row i takes k_g columns from each class g that W allows in
-    row i, with sum k_g = r_i, in prod C(m_g, k_g) ways; a class whose
-    residual degree would exceed the number of later rows allowing it
-    must give row i all its columns.  When W is complete this is the
+
+def _count_within(t: EdgeType, rows: tuple[Sequence[int], ...], cols: tuple[Sequence[int], ...], limit: int) -> int:
+    """The graphs inside t's W whose row i has between least[i] and most[i]
+    ones, (least, most) = rows, and likewise each column, by one dynamic
+    program.  Rows are placed in non-increasing (most, least) order, W's
+    rows permuted alike.  A column class is (least, most ones still to
+    take, W bits of the column in the rows not yet placed), most capped at
+    the number of those rows; columns of one class are interchangeable, so
+    the state is the multiset of classes, held as sorted (class,
+    multiplicity) pairs without the finished columns (most 0).  Row i takes
+    k_g columns from each class g that W allows in row i, with sum k_g
+    inside the row's own interval, in prod C(m_g, k_g) ways; a class whose
+    least would exceed the later rows allowing it gives row i all its
+    columns.  A table's row and column sums agree, so no pair of sums is
+    matched.  With W complete and single-value intervals this is the
     recursion of Miller and Harrison (Ann. Statist. 41(3), 2013) over the
-    multiset of residual column degrees.  Exact Python ints throughout;
-    the memo lives for one call.
-    """
-    _check_limit(t.n, limit)
-    n = t.n
-    if sum(t.r) != sum(t.c):
+    multiset of residual column degrees.  The memo lives for one call."""
+    _check_limit(t.n, limit, counting=True)
+    n, (row_least, row_most), (col_least, col_most) = t.n, rows, cols
+    if sum(row_least) > sum(col_most) or sum(col_least) > sum(row_most):
         return 0
-    order = sorted(range(n), key=lambda i: -t.r[i])
+    order = sorted(range(n), key=lambda i: (row_most[i], row_least[i]), reverse=True)  # stable
     w = t.w.adj[order].T.tolist()  # column j's W bits, in placement order
-    start = Counter((t.c[j], sum(v << i for i, v in enumerate(w[j]))) for j in range(n))
-    state = []
-    for (d, pattern), m in sorted(start.items()):
-        if d > pattern.bit_count():
-            return 0
-        if d:
-            state.append((d, pattern, m))
-    return _count(0, tuple(state), [t.r[i] for i in order], [{} for _ in range(n)])
+    patterns = [sum(v << i for i, v in enumerate(bits)) for bits in w]
+    start = Counter((lo, min(hi, p.bit_count()), p) for lo, hi, p in zip(col_least, col_most, patterns))
+    if any(lo > hi for lo, hi, _ in start):  # a column W leaves too little room
+        return 0
+    state = tuple(sorted(item for item in start.items() if item[0][1]))
+    return _count(0, state, [(row_least[i], row_most[i]) for i in order], [{} for _ in range(n)])
 
 
-def _count(i: int, state: tuple, r: list[int], memo: list[dict]) -> int:
-    """Members of the rows i.. with degrees r[i:] whose columns make the
-    canonical state `state`; memo[i] maps states to counts."""
-    if i == len(r):
+def _count(i: int, state: tuple, rows: list[tuple[int, int]], memo: list[dict]) -> int:
+    """Tables of the rows i.. with totals inside rows[i:] whose columns
+    make the canonical state `state`; memo[i] maps states to counts."""
+    if i == len(rows):
         return int(not state)
     known = memo[i].get(state)
     if known is not None:
         return known
-    rest = {}  # classes W forbids in row i, by (degree, later pattern)
-    groups = []  # (degree, later pattern, multiplicity, least take)
-    for d, pattern, m in state:
+    rest = {}  # classes W forbids in row i, by (least, most, later pattern)
+    groups = []  # (multiplicity, least take, class of a taker, class of the rest)
+    for (lo, hi, pattern), m in state:
+        later = pattern >> 1
         if pattern & 1:
-            later = pattern >> 1
-            groups.append((d, later, m, m if d > later.bit_count() else 0))
+            room = later.bit_count()
+            up = (lo - 1 if lo else 0, hi - 1, later) if hi > 1 else None
+            stay = (lo, hi if hi < room else room, later) if room else None
+            groups.append((m, m if lo > room else 0, up, stay))
         else:
-            rest[d, pattern >> 1] = m
+            rest[lo, hi, later] = m
     total = 0
-    for take in _takes(groups, r[i]):
+    for take in _takes(groups, *rows[i]):
         nxt = rest.copy()
         ways = 1
-        for (d, later, m, _), k in zip(groups, take):
+        for (m, _, up, stay), k in zip(groups, take):
             if k:
                 ways *= comb(m, k)
-                if d > 1:
-                    nxt[d - 1, later] = nxt.get((d - 1, later), 0) + k
-            if k < m:
-                nxt[d, later] = nxt.get((d, later), 0) + m - k
-        total += ways * _count(i + 1, tuple(sorted([(d, p, m) for (d, p), m in nxt.items()])), r, memo)
+                if up:
+                    nxt[up] = nxt.get(up, 0) + k
+            if k < m and stay:
+                nxt[stay] = nxt.get(stay, 0) + m - k
+        total += ways * _count(i + 1, tuple(sorted(nxt.items())), rows, memo)
     memo[i][state] = total
     return total
 
 
-def _takes(groups: list[tuple[int, int, int, int]], need: int) -> Iterator[list[int]]:
-    """Every take vector placing `need` ones in the groups, group g taking
-    between its least take and its multiplicity, in lexicographic order,
-    written into one list in place."""
+def _takes(groups: list[tuple], least: int, most: int) -> Iterator[list[int]]:
+    """Every take vector placing between `least` and `most` ones in the
+    groups (multiplicity, least take, ...), group g taking between its
+    least take and its multiplicity, in lexicographic order, written into
+    one list in place."""
     last = len(groups) - 1
     if last < 0:
-        if need == 0:
+        if least <= 0 <= most:
             yield []
         return
-    # most[g], least[g]: what the groups after g can take together
-    most = list(accumulate((m for _, _, m, _ in groups[:0:-1]), initial=0))[::-1]
-    least = list(accumulate((lo for _, _, _, lo in groups[:0:-1]), initial=0))[::-1]
+    # above[g], below[g]: the most and least the groups after g can take
+    # together; above also holds the interval's width, so that left[g] -
+    # above[g] is the least group g must take
+    above = list(accumulate((m for m, _, _, _ in groups[:0:-1]), initial=most - least))[::-1]
+    below = list(accumulate((lo for _, lo, _, _ in groups[:0:-1]), initial=0))[::-1]
     take = [0] * (last + 1)
-    left = [need] * (last + 1)  # left[g]: ones for the groups g..
-    take[0] = max(groups[0][3], need - most[0]) - 1
+    left = [most] * (last + 1)  # left[g]: the most ones for the groups g..
+    take[0] = max(groups[0][1], most - above[0]) - 1
     g = 0
     while g >= 0:
         k = take[g] + 1
-        if k > min(groups[g][2], left[g] - least[g]):
+        if k > min(groups[g][0], left[g] - below[g]):
             g -= 1
             continue
         take[g] = k
@@ -255,17 +264,7 @@ def _takes(groups: list[tuple[int, int, int, int]], need: int) -> Iterator[list[
             continue
         g += 1
         left[g] = left[g - 1] - k
-        take[g] = max(groups[g][3], left[g] - most[g]) - 1
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _class_count(r: tuple[int, ...], c: tuple[int, ...], w_bits: int, limit: int) -> int:
-    """`count_class` of (r, c) under the W on n = len(r) vertices whose
-    row-major bitmask is w_bits, memoized per process.  Callers pass the
-    class representative `_class_key(r, c, complete)`, so a class met again
-    in any labelling (W complete) is not counted again.  An int W and tuple
-    degrees keep a hit free of numpy; a refused count raises again."""
-    return count_class(EdgeType(r, c, DiGraph.from_bits(len(r), w_bits)), limit=limit)
+        take[g] = max(groups[g][1], left[g] - above[g]) - 1
 
 
 def class_nonempty(t: EdgeType) -> bool:
@@ -363,7 +362,8 @@ def interchange_connected(t: EdgeType, limit: int = DEFAULT_LIMIT) -> bool:
 
 
 def delta_degree_choices(value: int, n: int, delta: float, dens: int) -> list[int]:
-    """Admissible per-vertex degrees: deviation strictly below delta*dens.
+    """Admissible per-vertex degrees: deviation strictly below delta*dens,
+    so an interval of consecutive degrees around the nominal one.
 
     delta=0 admits exactly the nominal degree (the zero deviation), so the
     δ-class degenerates to the plain class.
@@ -375,7 +375,7 @@ def _delta_types(
     t: EdgeType, delta: float, dens: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The admissible degree pairs (r~, c~) of the δ-class with equal sums,
-    in lexicographic order; each class lies under t's W."""
+    in lexicographic order, for enumeration; each class lies under t's W."""
     n = t.n
     r_opts = [delta_degree_choices(t.r[i], n, delta, dens) for i in range(n)]
     c_opts = [delta_degree_choices(t.c[j], n, delta, dens) for j in range(n)]
@@ -404,13 +404,15 @@ def enumerate_delta_class(
 
 
 def count_delta_class(t: EdgeType, delta: float, dens: int, limit: int = DEFAULT_LIMIT) -> int:
-    """|T_δ(r, c, W)|: the class sizes summed over the admissible (r~, c~),
-    each class up to relabelling counted once (and read from `_class_count`)
-    and weighted by its multiplicity."""
-    _check_limit(t.n, limit)
-    complete, w_bits = t.unrestricted, t.w.to_bits()
-    classes = Counter(_class_key(r, c, complete) for r, c in _delta_types(t, delta, dens))
-    return sum(k * _class_count(r, c, w_bits, limit) for (r, c), k in classes.items())
+    """|T_δ(r, c, W)|: the graphs inside W whose every degree is admissible,
+    counted in one pass (`_count_within`) over the degree intervals of
+    `delta_degree_choices`; no degree pair (r~, c~) is visited."""
+
+    def bounds(degrees: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        choices = [delta_degree_choices(v, t.n, delta, dens) for v in degrees]
+        return [v[0] for v in choices], [v[-1] for v in choices]
+
+    return _count_within(t, bounds(t.r), bounds(t.c), limit)
 
 
 def _conditional_members(

@@ -26,16 +26,15 @@ import numpy as np
 
 from .enumeration import (
     DEFAULT_LIMIT,
-    MEMO_SIZE,
-    _class_count,
     _delta_members,
     _members,
     class_nonempty,
+    count_class,
 )
 from .graphs import DiGraph, DistortionValue, _pack, _unpack, density
 from .maxent import ProductRandomGraph, _solve, binary_entropy, counting_gap
 from .probability import _log_probs
-from .typealg import EdgeType, EmptyResult, _class_key
+from .typealg import EdgeType, EmptyResult
 
 __all__ = [
     "Codebook",
@@ -57,6 +56,7 @@ BLOCK_CELLS = 1 << 19  # candidate x source cells per coverage chunk
 MASS_CELLS = 1 << 15  # candidate x element cells per batched mass chunk
 REACH_BLOCK = 16  # fewest candidates whose uncovered masses the bound computes at once
 TABLE_MAX_N = 4  # the exact oracles tabulate all 2^(n^2) graphs
+MEMO_SIZE = 4096  # entries of the process-wide memo of class facts
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,16 @@ def sign_variants(
     return [(r, c) for r in product(*map(options, t.r, d_r)) for c in cols.get(sum(r), ())]
 
 
+def _class_key(r: tuple[int, ...], c: tuple[int, ...], complete: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The degrees of the representative of (r, c)'s class up to
+    relabelling, whose size, emptiness and max-entropy are its own: both
+    sorted non-increasing when W is complete, as `typealg.normalize` sorts
+    them, and (r, c) itself when W is restricted, since relabelling moves W."""
+    if not complete:
+        return r, c
+    return tuple(sorted(r, reverse=True)), tuple(sorted(c, reverse=True))
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _class_facts(
     r: tuple[int, ...], c: tuple[int, ...], w_bits: int, tol: float | None, limit: int
@@ -137,19 +147,16 @@ def _class_facts(
     One bounded memo per process, shared by every reader and every call.
     H is solved on (r, c) as given; the scan's readers pass the class
     representative (`_facts_reader`), so with W complete a class met in
-    any labelling is analysed once.  Emptiness and the count do not
-    depend on labels: the count is read from `enumeration._class_count`
-    under the representative, so it is shared by every labelling.  Each
-    entry is the value a fresh computation gives, so output does not
-    depend on what the memo holds; a raised error is not kept and is
-    raised again on the next call."""
+    any labelling is analysed and counted once.  Each entry is the value a
+    fresh computation gives, so output does not depend on what the memo
+    holds; a raised error is not kept and is raised again on the next
+    call."""
     n = len(r)
     t = EdgeType(r, c, DiGraph.from_bits(n, w_bits))
     if not class_nonempty(t):
         return None
     h = _solve(t, tol=tol).report.entropy_nats
-    count = _class_count(*_class_key(r, c, w_bits == (1 << n * n) - 1), w_bits, limit)
-    return h, max(0.0, counting_gap(h, count, n))
+    return h, max(0.0, counting_gap(h, count_class(t, limit=limit), n))
 
 
 def _facts_reader(w: DiGraph, tol: float | None, limit: int):
@@ -173,7 +180,7 @@ def delta_class_cardinality_bounds(
 
     with the measured counting gap in place of the universal constant; at dens = 0, T_delta = T.
     H and the count are read under t's class representative, as the Omega scan reads them,
-    so the bounds do not depend on vertex labels; the count is shared with `count_delta_class`.
+    so the bounds do not depend on vertex labels.
     """
     facts = _facts_reader(t.w, tol, limit)(t.r, t.c)
     if facts is None:

@@ -214,18 +214,6 @@ def normalize(t: EdgeType) -> tuple[EdgeType, tuple[int, ...], tuple[int, ...]]:
     return EdgeType(r_sorted, c_sorted, w_sorted), row_perm, col_perm
 
 
-def _class_key(
-    r: tuple[int, ...], c: tuple[int, ...], complete: bool
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The degrees of the representative of (r, c)'s class up to
-    relabelling, whose size, emptiness and max-entropy are its own: both
-    sorted non-increasing when W is complete, as `normalize` sorts them, and
-    (r, c) itself when W is restricted, since relabelling moves W."""
-    if not complete:
-        return r, c
-    return tuple(sorted(r, reverse=True)), tuple(sorted(c, reverse=True))
-
-
 def structure_matrix(r: Sequence[int], c: Sequence[int]) -> StructureMatrix:
     """Closed-form structure matrix of a normalized unrestricted type:
 

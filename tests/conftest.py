@@ -1,15 +1,14 @@
 import pytest
 
 import _acceptance_report
-from edgetype import enumeration, ratedistortion
+from edgetype import ratedistortion
 
 
 @pytest.fixture
 def cold_memo():
-    """Empty the per-process memos of class facts and class counts, for
-    tests that record which classes a call solves or counts."""
+    """Empty the per-process memo of class facts, for tests that record
+    which classes a call solves or counts."""
     ratedistortion._class_facts.cache_clear()
-    enumeration._class_count.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

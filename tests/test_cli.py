@@ -167,6 +167,27 @@ class TestCount:
         code, _ = run(capsys, "count", "--type", write_json(big))
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["count"], "n=7 exceeds counting limit 6"),
+            (["delta", "--delta", "0.25"], "n=7 exceeds counting limit 6"),
+            (["rd-bounds", "--xi", "0"], "n=7 exceeds counting limit 6"),
+            (["enumerate"], "n=7 exceeds enumeration limit 6 (estimated work 2^49)"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_refusal_names_what_was_refused(self, capsys, write_json, argv, message):
+        # the counting DP's cost does not grow like 2^(n^2), so its refusal gives no such estimate
+        t = write_json({"r": [3] * 7, "c": [3] * 7})
+        code = main([argv[0], "--type", t, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == f"resource limit: {message}\n"
+        if argv[0] != "enumerate":
+            assert main([argv[0], "--type", t, *argv[1:], "--limit", "7"]) == 0
+            capsys.readouterr()
+
 
 class TestStructure:
     def test_regular_pair_matrix(self, capsys, write_json):
@@ -614,19 +635,42 @@ class TestDeltaAndConditional:
         assert json.loads(wide)["count_delta"] == 512
 
     def test_delta_counts_each_class_once(self, capsys, write_json, monkeypatch, cold_memo):
-        # the delta-class and its cardinality bounds share one count per class
+        # the delta-class is counted in one pass over degree intervals; count_class runs
+        # once, for the cardinality bounds on t's class
         counted = []
 
         def recorded(t, *args, **kwargs):
-            counted.append((tuple(sorted(t.r)), tuple(sorted(t.c))))
+            counted.append((t.r, t.c))
             return count(t, *args, **kwargs)
 
         count = enumeration.count_class
         monkeypatch.setattr(enumeration, "count_class", recorded)
+        monkeypatch.setattr(ratedistortion, "count_class", recorded)
         t = write_json({"r": [3, 3, 2, 1, 1, 0], "c": [2, 2, 2, 2, 1, 1]})
         code, _ = run(capsys, "delta", "--type", t, "--delta", "0.25")
         assert code == 0
-        assert counted and len(counted) == len(set(counted))
+        assert counted == [((3, 3, 2, 1, 1, 0), (2, 2, 2, 2, 1, 1))]
+
+    @pytest.mark.parametrize(
+        "spec, extra, sha",
+        [
+            ({"r": [3, 2, 3, 2], "c": [2, 3, 1, 4]}, ["--delta", "0.5"],
+             "a48e1c5727e954f33b0bd1838f29be5a380d33e6282de5e8f335684f69b0d56c"),
+            ({"r": [2, 2, 1, 1], "c": [1, 2, 2, 1], "w": {"n": 4, "adj": [[int(i != j) for j in range(4)] for i in range(4)]}},
+             ["--delta", "0.5", "--dens", "3"], "84d2afaec85cfddb505632c1f3d938d6644a9c8b8df89bca075d56031b9ca356"),
+            ({"r": [4, 2, 1, 0], "c": [2, 2, 2, 1]}, ["--delta", "0.5"],
+             "ea04165bb86c2326e0773d96a2ea0a987d0c9a9704fcdf1afc4ccf7b195af729"),
+            ({"r": [3, 3, 2, 1, 1, 0], "c": [2, 2, 2, 2, 1, 1]}, ["--delta", "1.0"],
+             "ea401a2c88cc546a3892454848517afb9ef062b1640098fe90f8200e29217ffe"),
+        ],
+        ids=["unsorted-n4", "loopfree-n4-dens3", "fixed-n4", "n6-delta1"],
+    )
+    def test_delta_pinned_bytes(self, capsys, write_json, spec, extra, sha):
+        # the sha256 of each stdout, recorded when the delta-class was counted degree pair by pair
+        code = main(["delta", "--type", write_json(spec), *extra])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
 
     def test_delta_bounds_read_the_class_representative(self, capsys, write_json, cold_memo):
         # H(F_T) is solved on the sorted representative: a relabelled t prints its bytes
@@ -1102,6 +1146,12 @@ class TestBadNumbers:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "eps must be nonnegative" in captured.err
+
+    def test_negative_m_exit_two(self, capsys, write_json):
+        code = main(["cover", "--type", write_json(PERMUTATIONS_3), "--xi", "0", "--m", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "invalid input: m must be nonnegative\n"
 
     def test_rn_exact_eps_needs_params(self, capsys, write_json):
         code = main(["rn-exact", "--type", write_json(REGULAR_PAIR), "--d", "0", "--eps", "0.5"])

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import product
+from operator import and_
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from edgetype.enumeration import (
     components_by_enumeration,
     count_class,
     count_delta_class,
+    delta_degree_choices,
     enumerate_class,
     enumerate_conditional,
     enumerate_delta_class,
@@ -144,24 +147,55 @@ class TestCountDynamicProgram:
                 expected = len(set(enumerate_delta_class(t, delta, dens)))
                 assert count_delta_class(t, delta, dens) == expected, (t.r, t.c, delta)
 
-    def test_delta_count_counts_each_class_once(self, monkeypatch, cold_memo):
-        # with W complete, degree pairs equal up to relabelling share one count
-        def key(r, c):
-            return tuple(sorted(r)), tuple(sorted(c))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_delta_count_matches_enumeration_every_pair(self, n):
+        # every degree pair at n, every W at n <= 2 and seeded W at n = 3; the enumeration
+        # depends only on the admissible degrees and W, so each such set is enumerated once
+        ws = [DiGraph.from_bits(n, bits) for bits in range(1 << n * n)]
+        if n == 3:
+            rng = random.Random("delta-count:3")
+            ws = [DiGraph.complete(3), *(DiGraph.from_bits(3, rng.getrandbits(9) | rng.getrandbits(9)) for _ in range(3))]
+        sizes = {}
+        for r, c in partition_by_type(n):
+            for w in ws:
+                t = EdgeType(r, c, w)
+                for delta, dens in product((0, 0.25, 0.5, 1.0, 2.0), (0, 1, t.density())):
+                    key = (tuple(tuple(delta_degree_choices(v, n, delta, dens)) for v in r + c), w)
+                    if key not in sizes:
+                        sizes[key] = len(set(enumerate_delta_class(t, delta, dens)))
+                    assert count_delta_class(t, delta, dens) == sizes[key], (r, c, w, delta, dens)
+
+    def test_delta_count_matches_pair_sum(self):
+        # sparse seeded types at n = 4..6 (each cell the AND of `masks` fair bits), rows
+        # unsorted, under W complete and a seeded W; at delta 1.0, dens 2 and 3 let every
+        # degree move by one and by two
+        rng = random.Random("delta-pairs")
+        for n, copies, masks, dens_values in ((4, 4, 2, (2, 3)), (5, 2, 2, (2,)), (6, 1, 3, (2,))):
+            for _, restricted in product(range(copies), (False, True)):
+                g = reduce(and_, (rng.getrandbits(n * n) for _ in range(masks)))
+                w = g | rng.getrandbits(n * n) if restricted else (1 << n * n) - 1
+                t = EdgeType.of_graph(DiGraph.from_bits(n, g), DiGraph.from_bits(n, w))
+                for delta, dens in [(0.5, t.density()), *((1.0, d) for d in dens_values)]:
+                    assert count_delta_class(t, delta, dens) == delta_pair_sum(t, delta, dens), (t.r, t.c, w, dens)
+
+    def test_delta_count_walks_no_degree_pairs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the degree pairs were walked")
 
         t = EdgeType((4, 2, 1, 0), (2, 2, 2, 1))
-        pairs = list(enumeration._delta_types(t, 0.5, t.density()))
-        expected = sum(count_class(EdgeType(r, c)) for r, c in pairs)
-        calls = []
+        expected = delta_pair_sum(t, 0.5, t.density())
+        monkeypatch.setattr(enumeration, "_delta_types", refuse)
+        assert count_delta_class(t, 0.5, t.density()) == expected == 2336
 
-        def recorded(tt, *args, **kwargs):
-            calls.append(key(tt.r, tt.c))
-            return count_class(tt, *args, **kwargs)
+    @pytest.mark.parametrize("delta, size", [(0.5, 61_725_145), (1.0, 4_347_049_110)])
+    def test_delta_count_of_a_wide_class(self, delta, size):
+        # 49 721 and 5 191 565 admissible degree pairs at dens 3
+        assert count_delta_class(EdgeType((3, 3, 2, 1, 1, 0), (2, 2, 2, 2, 1, 1)), delta, 3) == size
 
-        monkeypatch.setattr(enumeration, "count_class", recorded)
-        assert count_delta_class(t, 0.5, t.density()) == expected
-        assert sorted(calls) == sorted({key(r, c) for r, c in pairs})
-        assert len(calls) < len(pairs)
+
+def delta_pair_sum(t, delta, dens):
+    """|T_delta| as the sum of the class sizes over the admissible degree pairs."""
+    return sum(count_class(EdgeType(r, c, t.w), limit=t.n) for r, c in enumeration._delta_types(t, delta, dens))
 
 
 class TestInterchange:
@@ -222,8 +256,6 @@ class TestDeltaClass:
     def test_disjoint_union_cardinality(self):
         t = EdgeType((1, 1), (1, 1))
         delta, dens = 1.5, 1
-        from edgetype.enumeration import delta_degree_choices
-
         expected = 0
         r_opts = [delta_degree_choices(v, 2, delta, dens) for v in t.r]
         c_opts = [delta_degree_choices(v, 2, delta, dens) for v in t.c]

@@ -10,7 +10,7 @@ import pytest
 
 from test_probability import loop_log_graph_prob, same_floats
 
-from edgetype import enumeration, probability, ratedistortion
+from edgetype import probability, ratedistortion
 from edgetype.enumeration import (
     EnumerationLimitError,
     class_nonempty,
@@ -427,7 +427,7 @@ class TestRDBoundsOnePass:
             return wrapper
 
         monkeypatch.setattr(ratedistortion, "_solve", recorded("solve", ratedistortion._solve))
-        monkeypatch.setattr(enumeration, "count_class", recorded("count", enumeration.count_class))
+        monkeypatch.setattr(ratedistortion, "count_class", recorded("count", ratedistortion.count_class))
         first = rd_bounds(t, xi, 0.25, 0.2)
         for calls in seen.values():
             assert calls and len(calls) == len(set(calls))
@@ -546,14 +546,12 @@ class TestFactsMemo:
         assert facts == [facts[0]] * 4
         info = ratedistortion._class_facts.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
-        assert enumeration._class_count.cache_info().currsize == 1
 
     def test_restricted_ws_with_equal_degrees_do_not_share(self, cold_memo):
         # both W have every row and column degree 2
         facts = [ratedistortion._facts_reader(w, None, 6)((1, 1, 1), (1, 1, 1)) for w in SAME_DEGREE_WS]
         assert facts == [fresh_facts((1, 1, 1), (1, 1, 1), w) for w in SAME_DEGREE_WS]
         assert ratedistortion._class_facts.cache_info().currsize == 2
-        assert enumeration._class_count.cache_info().currsize == 2
 
     def test_tol_and_limit_are_part_of_the_key(self, cold_memo):
         t = EdgeType((2, 1, 1, 0), (1, 2, 0, 1))
@@ -561,7 +559,6 @@ class TestFactsMemo:
         facts = [ratedistortion._facts_reader(t.w, tol, limit)(t.r, t.c) for tol, limit in settings]
         assert facts == [fresh_facts((2, 1, 1, 0), (2, 1, 1, 0), t.w, tol, limit) for tol, limit in settings]
         assert ratedistortion._class_facts.cache_info().currsize == 3
-        assert enumeration._class_count.cache_info().currsize == 2  # a count has no tolerance
 
     def test_refused_count_is_refused_again(self, cold_memo):
         t = EdgeType((3,) * 7, (3,) * 7)
@@ -573,20 +570,17 @@ class TestFactsMemo:
         assert up.slack_terms["counting_gap"] > 0
 
     def test_size_stays_within_the_bound(self, monkeypatch):
-        assert ratedistortion._class_facts.cache_info().maxsize == enumeration.MEMO_SIZE
-        assert enumeration._class_count.cache_info().maxsize == enumeration.MEMO_SIZE
+        assert ratedistortion._class_facts.cache_info().maxsize == ratedistortion.MEMO_SIZE
         t, xi = TestRDBoundsOnePass.TYPES[3]
         expected = rd_bounds(t, xi, 0.25, 0.2)
         met = {ratedistortion._class_key(r, c, True) for d in omega_iter(xi, t.n) for r, c in [d, *sign_variants(t, *d)]}
         bound = 8
         assert len(met) > bound
         facts = functools.lru_cache(maxsize=bound)(ratedistortion._class_facts.__wrapped__)
-        counts = functools.lru_cache(maxsize=bound)(enumeration._class_count.__wrapped__)
         monkeypatch.setattr(ratedistortion, "_class_facts", facts)
-        monkeypatch.setattr(ratedistortion, "_class_count", counts)
         assert rd_bounds(t, xi, 0.25, 0.2) == expected
         assert facts.cache_info().misses >= len(met)
-        assert facts.cache_info().currsize <= bound and counts.cache_info().currsize <= bound
+        assert facts.cache_info().currsize <= bound
 
     @pytest.mark.parametrize(
         "t",
