@@ -108,7 +108,13 @@ def graph_json(g: DiGraph) -> dict:
 
 
 def _emit(obj, out_path: str | None) -> None:
-    _write([json.dumps(obj, sort_keys=True) + "\n"], out_path)
+    try:
+        text = json.dumps(obj, sort_keys=True)
+    except ValueError as exc:  # the only one json.dumps raises here: an int too long to write
+        raise enumeration.EnumerationLimitError(
+            f"an integer in the output exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    _write([text + "\n"], out_path)
 
 
 def _emit_graphs(stream, n: int, out_path: str | None) -> None:
@@ -267,7 +273,7 @@ def cmd_components(args) -> int:
 
 def cmd_count(args) -> int:
     t = parse_type(_load_json(args.type))
-    count = enumeration.count_class(t, limit=args.limit)
+    count = enumeration.count_class(t)
     _emit({"count": count}, args.out)
     return EXIT_OK if count else EXIT_EMPTY
 
@@ -343,10 +349,8 @@ def cmd_sanov(args) -> int:
 def cmd_delta(args) -> int:
     t = parse_type(_load_json(args.type))
     dens, delta = _dens(args, t), _delta(args)
-    count = enumeration.count_delta_class(t, delta, dens, limit=args.limit)
-    lo, hi = ratedistortion.delta_class_cardinality_bounds(
-        t, delta, dens, tol=args.tol, limit=args.limit
-    )
+    count = enumeration.count_delta_class(t, delta, dens)
+    lo, hi = ratedistortion.delta_class_cardinality_bounds(t, delta, dens, tol=args.tol)
     _emit(
         {
             "count_delta": count,
@@ -502,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("structure", cmd_structure, "type")
     add("invariants", cmd_invariants, "type")
     add("components", cmd_components, "type")
-    add("count", cmd_count, "type", "limit")
+    add("count", cmd_count, "type")
     add("enumerate", cmd_enumerate, "type", "limit", "delta", "dens")
     add("interchange-check", cmd_interchange_check, "type", "limit")
     add("maxent", cmd_maxent, "type", "tol")
@@ -510,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("prob", cmd_prob, "type", "params", "tol", "limit")
     sp = add("sanov", cmd_sanov, "params", "tol", "limit")
     sp.add_argument("--types", nargs="+", required=True, help="type-spec JSON files")
-    add("delta", cmd_delta, "type", "tol", "limit", "delta", "dens", delta={"required": True})
+    add("delta", cmd_delta, "type", "tol", "delta", "dens", delta={"required": True})
     add("conditional", cmd_conditional, "type", "graph", "limit", "delta", "dens")
     add("distortion", cmd_distortion, "graph", "graph2")
     sp = add("cover", cmd_cover, "type", "tol", "limit", "xi", "delta", "dens")

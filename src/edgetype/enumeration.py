@@ -6,9 +6,9 @@ member is visited), interchange walks, δ and conditional classes, and
 invariants/components recomputed directly from the members.  These
 oracles validate the closed-form machinery and the flow in
 edgetype.typealg and the analytic bounds elsewhere; `class_nonempty` and
-`class_invariants` answer from typealg and enumerate nothing.  Both
-enumeration and counting refuse n above the limit (DEFAULT_LIMIT unless
-given).
+`class_invariants` answer from typealg and enumerate nothing.
+Enumeration refuses n above the limit (DEFAULT_LIMIT unless given);
+counting takes no size option and stops past its work budget instead.
 
 Inside this module a class member is an int throughout: a row-major
 bitmask, bit k being cell (k // n, k % n).  The invariant masks are the
@@ -32,6 +32,7 @@ from .typealg import (
     EdgeType,
     EmptyResult,
     InvariantMasks,
+    _bit_rows,
     components_from_masks,
     flow_feasible,
     flow_invariants,
@@ -59,18 +60,19 @@ __all__ = [
 ]
 
 DEFAULT_LIMIT = 6
+# The column-class visits one count may make (`_count_within`); on a 2-core
+# Xeon VM a visit took 0.5-3 µs and left at most ~75 bytes of states.
+COUNT_BUDGET = 2_000_000
 
 
 class EnumerationLimitError(RuntimeError):
-    """Raised when a brute-force operation exceeds the configured size limit."""
+    """Raised when an operation would exceed its resource limit: n above the
+    size limit of an enumeration or a scan, or a count past COUNT_BUDGET."""
 
 
-def _check_limit(n: int, limit: int, counting: bool = False) -> None:
+def _check_limit(n: int, limit: int) -> None:
     if n > limit:
-        raise EnumerationLimitError(
-            f"n={n} exceeds counting limit {limit}" if counting
-            else f"n={n} exceeds enumeration limit {limit} (estimated work 2^{n * n})"
-        )
+        raise EnumerationLimitError(f"n={n} exceeds enumeration limit {limit} (estimated work 2^{n * n})")
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +155,7 @@ def _enumerate_bits(
 def _members(t: EdgeType, limit: int) -> Iterator[int]:
     """The members of T(r, c, W) as bitmasks, in enumeration order."""
     _check_limit(t.n, limit)
-    yield from _enumerate_bits(t.r, t.c, _graph_rows(t.w), t.n)
+    yield from _enumerate_bits(t.r, t.c, _bit_rows(t.w.adj), t.n)
 
 
 def enumerate_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> Iterator[DiGraph]:
@@ -163,13 +165,13 @@ def enumerate_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> Iterator[DiGraph
         yield DiGraph.from_bits(t.n, bits)
 
 
-def count_class(t: EdgeType, limit: int = DEFAULT_LIMIT) -> int:
+def count_class(t: EdgeType) -> int:
     """|T(r, c, W)| by an exact dynamic program over column classes
     (`_count_within` with every degree interval a single value)."""
-    return _count_within(t, (t.r, t.r), (t.c, t.c), limit)
+    return _count_within(t, (t.r, t.r), (t.c, t.c))
 
 
-def _count_within(t: EdgeType, rows: tuple[Sequence[int], ...], cols: tuple[Sequence[int], ...], limit: int) -> int:
+def _count_within(t: EdgeType, rows: tuple[Sequence[int], ...], cols: tuple[Sequence[int], ...]) -> int:
     """The graphs inside t's W whose row i has between least[i] and most[i]
     ones, (least, most) = rows, and likewise each column, by one dynamic
     program.  Rows are placed in non-increasing (most, least) order, W's
@@ -184,54 +186,51 @@ def _count_within(t: EdgeType, rows: tuple[Sequence[int], ...], cols: tuple[Sequ
     columns.  A table's row and column sums agree, so no pair of sums is
     matched.  With W complete and single-value intervals this is the
     recursion of Miller and Harrison (Ann. Statist. 41(3), 2013) over the
-    multiset of residual column degrees.  The memo lives for one call."""
-    _check_limit(t.n, limit, counting=True)
+    multiset of residual column degrees.  One forward pass places the rows
+    in turn, holding the ways to reach each state.  A step, one take from
+    one state, is charged the classes of that state; past COUNT_BUDGET in
+    all it raises EnumerationLimitError."""
     n, (row_least, row_most), (col_least, col_most) = t.n, rows, cols
     if sum(row_least) > sum(col_most) or sum(col_least) > sum(row_most):
         return 0
     order = sorted(range(n), key=lambda i: (row_most[i], row_least[i]), reverse=True)  # stable
-    w = t.w.adj[order].T.tolist()  # column j's W bits, in placement order
-    patterns = [sum(v << i for i, v in enumerate(bits)) for bits in w]
+    patterns = _bit_rows(t.w.adj[order].T)  # column j's W bits, in placement order
     start = Counter((lo, min(hi, p.bit_count()), p) for lo, hi, p in zip(col_least, col_most, patterns))
     if any(lo > hi for lo, hi, _ in start):  # a column W leaves too little room
         return 0
-    state = tuple(sorted(item for item in start.items() if item[0][1]))
-    return _count(0, state, [(row_least[i], row_most[i]) for i in order], [{} for _ in range(n)])
-
-
-def _count(i: int, state: tuple, rows: list[tuple[int, int]], memo: list[dict]) -> int:
-    """Tables of the rows i.. with totals inside rows[i:] whose columns
-    make the canonical state `state`; memo[i] maps states to counts."""
-    if i == len(rows):
-        return int(not state)
-    known = memo[i].get(state)
-    if known is not None:
-        return known
-    rest = {}  # classes W forbids in row i, by (least, most, later pattern)
-    groups = []  # (multiplicity, least take, class of a taker, class of the rest)
-    for (lo, hi, pattern), m in state:
-        later = pattern >> 1
-        if pattern & 1:
-            room = later.bit_count()
-            up = (lo - 1 if lo else 0, hi - 1, later) if hi > 1 else None
-            stay = (lo, hi if hi < room else room, later) if room else None
-            groups.append((m, m if lo > room else 0, up, stay))
-        else:
-            rest[lo, hi, later] = m
-    total = 0
-    for take in _takes(groups, *rows[i]):
-        nxt = rest.copy()
-        ways = 1
-        for (m, _, up, stay), k in zip(groups, take):
-            if k:
-                ways *= comb(m, k)
-                if up:
-                    nxt[up] = nxt.get(up, 0) + k
-            if k < m and stay:
-                nxt[stay] = nxt.get(stay, 0) + m - k
-        total += ways * _count(i + 1, tuple(sorted(nxt.items())), rows, memo)
-    memo[i][state] = total
-    return total
+    level = {tuple(sorted(item for item in start.items() if item[0][1])): 1}
+    budget = COUNT_BUDGET
+    for i in order:
+        after = {}
+        for state, count in level.items():
+            rest = {}  # classes W forbids in row i, by (least, most, later pattern)
+            groups = []  # (multiplicity, least take, class of a taker, class of the rest)
+            for (lo, hi, pattern), m in state:
+                later = pattern >> 1
+                if pattern & 1:
+                    room = later.bit_count()
+                    up = (lo - 1 if lo else 0, hi - 1, later) if hi > 1 else None
+                    stay = (lo, hi if hi < room else room, later) if room else None
+                    groups.append((m, m if lo > room else 0, up, stay))
+                else:
+                    rest[lo, hi, later] = m
+            for take in _takes(groups, row_least[i], row_most[i]):
+                budget -= len(state)
+                if budget < 0:
+                    raise EnumerationLimitError(f"counting exceeds its budget of {COUNT_BUDGET} column-class visits")
+                nxt = rest.copy()
+                ways = 1
+                for (m, _, up, stay), k in zip(groups, take):
+                    if k:
+                        ways *= comb(m, k)
+                        if up:
+                            nxt[up] = nxt.get(up, 0) + k
+                    if k < m and stay:
+                        nxt[stay] = nxt.get(stay, 0) + m - k
+                key = tuple(sorted(nxt.items()))
+                after[key] = after.get(key, 0) + count * ways
+        level = after
+    return level.get((), 0)
 
 
 def _takes(groups: list[tuple], least: int, most: int) -> Iterator[list[int]]:
@@ -279,10 +278,6 @@ def class_invariants(t: EdgeType) -> InvariantMasks:
     return invariant_positions(t) if t.unrestricted else flow_invariants(t)
 
 
-def _graph_rows(g: DiGraph) -> list[int]:
-    return [sum(v << j for j, v in enumerate(row)) for row in g.adj.tolist()]
-
-
 def partition_by_type(n: int, limit: int = 4) -> dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]]:
     """Bucket all 2^(n^2) graphs by their (r, c) degree pair.
 
@@ -316,7 +311,7 @@ def interchange_neighbors(g: DiGraph, w: DiGraph) -> list[DiGraph]:
     An interchange swaps a 2x2 submatrix between the patterns
     [[1,0],[0,1]] and [[0,1],[1,0]]; it preserves both degree vectors.
     """
-    return [DiGraph.from_bits(g.n, h) for h in _interchanges(g.to_bits(), _graph_rows(w), g.n)]
+    return [DiGraph.from_bits(g.n, h) for h in _interchanges(g.to_bits(), _bit_rows(w.adj), g.n)]
 
 
 def _interchanges(bits: int, w_rows: Sequence[int], n: int) -> Iterator[int]:
@@ -341,7 +336,7 @@ def interchange_reach(t: EdgeType, limit: int = DEFAULT_LIMIT) -> tuple[int, int
     members = list(_members(t, limit))
     if not members:
         raise EmptyResult("empty class has no interchange graph")
-    w_rows = _graph_rows(t.w)
+    w_rows = _bit_rows(t.w.adj)
     seen = {members[0]}
     frontier = [members[0]]
     while frontier:
@@ -389,7 +384,7 @@ def _delta_types(
 def _delta_members(t: EdgeType, delta: float, dens: int, limit: int) -> Iterator[int]:
     """The members of the δ-class as bitmasks, in enumerate_delta_class order."""
     _check_limit(t.n, limit)
-    w_rows = _graph_rows(t.w)
+    w_rows = _bit_rows(t.w.adj)
     for r, c in _delta_types(t, delta, dens):
         yield from _enumerate_bits(r, c, w_rows, t.n)
 
@@ -403,7 +398,7 @@ def enumerate_delta_class(
         yield DiGraph.from_bits(t.n, bits)
 
 
-def count_delta_class(t: EdgeType, delta: float, dens: int, limit: int = DEFAULT_LIMIT) -> int:
+def count_delta_class(t: EdgeType, delta: float, dens: int) -> int:
     """|T_δ(r, c, W)|: the graphs inside W whose every degree is admissible,
     counted in one pass (`_count_within`) over the degree intervals of
     `delta_degree_choices`; no degree pair (r~, c~) is visited."""
@@ -412,7 +407,7 @@ def count_delta_class(t: EdgeType, delta: float, dens: int, limit: int = DEFAULT
         choices = [delta_degree_choices(v, t.n, delta, dens) for v in degrees]
         return [v[0] for v in choices], [v[-1] for v in choices]
 
-    return _count_within(t, bounds(t.r), bounds(t.c), limit)
+    return _count_within(t, bounds(t.r), bounds(t.c))
 
 
 def _conditional_members(

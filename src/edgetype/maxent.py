@@ -469,12 +469,12 @@ def counting_gap(entropy_nats: float, count: int, n: int) -> float:
 def barvinok_bounds(
     t: EdgeType, tol: float | None = None, limit: int = DEFAULT_LIMIT
 ) -> tuple[float, float | None, int | None]:
-    """(alpha, gap, count): alpha(T) = e^{H(F_T)} plus, when the class is
-    enumerable, its size and the measured counting gap."""
+    """(alpha, gap, count): alpha(T) = e^{H(F_T)} plus, when n <= limit,
+    the class size (`count_class`) and the measured counting gap."""
     report = _solve(t, tol=tol).report
     if t.n > limit:
         return report.alpha, None, None
-    count = count_class(t, limit=limit)
+    count = count_class(t)
     if count == 0:
         raise EmptyResult("empty class has no counting bounds")
     return report.alpha, counting_gap(report.entropy_nats, count, t.n), count

@@ -26,6 +26,7 @@ import numpy as np
 
 from .enumeration import (
     DEFAULT_LIMIT,
+    EnumerationLimitError,
     _delta_members,
     _members,
     class_nonempty,
@@ -137,7 +138,7 @@ def _class_key(r: tuple[int, ...], c: tuple[int, ...], complete: bool) -> tuple[
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _class_facts(
-    r: tuple[int, ...], c: tuple[int, ...], w_bits: int, tol: float | None, limit: int
+    r: tuple[int, ...], c: tuple[int, ...], w_bits: int, tol: float | None
 ) -> tuple[float, float] | None:
     """(H(F_T), measured counting gap floored at 0) of the type (r, c)
     under the W on n = len(r) vertices whose row-major bitmask is w_bits,
@@ -153,26 +154,23 @@ def _class_facts(
     call."""
     n = len(r)
     t = EdgeType(r, c, DiGraph.from_bits(n, w_bits))
-    if not class_nonempty(t):
+    try:
+        h = _solve(t, tol=tol).report.entropy_nats
+    except EmptyResult:
         return None
-    h = _solve(t, tol=tol).report.entropy_nats
-    return h, max(0.0, counting_gap(h, count_class(t, limit=limit), n))
+    return h, max(0.0, counting_gap(h, count_class(t), n))
 
 
-def _facts_reader(w: DiGraph, tol: float | None, limit: int):
+def _facts_reader(w: DiGraph, tol: float | None):
     """`_class_facts` of the degree pairs (r, c) under W, looked up by the
     class representative; an EdgeType is built only for a class the memo
     does not hold."""
     complete, w_bits = bool(w.adj.all()), w.to_bits()
-
-    def facts(r: tuple[int, ...], c: tuple[int, ...]) -> tuple[float, float] | None:
-        return _class_facts(*_class_key(r, c, complete), w_bits, tol, limit)
-
-    return facts
+    return lambda r, c: _class_facts(*_class_key(r, c, complete), w_bits, tol)
 
 
 def delta_class_cardinality_bounds(
-    t: EdgeType, delta: float, dens: int, tol: float | None = None, limit: int = DEFAULT_LIMIT
+    t: EdgeType, delta: float, dens: int, tol: float | None = None
 ) -> tuple[float, float]:
     """Bounds on (1/n^2) ln |T_delta| around the per-cell entropy:
 
@@ -182,7 +180,7 @@ def delta_class_cardinality_bounds(
     H and the count are read under t's class representative, as the Omega scan reads them,
     so the bounds do not depend on vertex labels.
     """
-    facts = _facts_reader(t.w, tol, limit)(t.r, t.c)
+    facts = _facts_reader(t.w, tol)(t.r, t.c)
     if facts is None:
         raise EmptyResult("empty class")
     n = t.n
@@ -193,7 +191,7 @@ def delta_class_cardinality_bounds(
     return lower, upper
 
 
-def _covering_scan(t: EdgeType, xi, facts) -> tuple[float, float, bool, float]:
+def _covering_scan(t: EdgeType, xi, facts, limit: int) -> tuple[float, float, bool, float]:
     """Max over distortion budgets and sign variants of the entropy
     difference H(variant) - H(distortion type), per n^2 cells, reading
     each type's facts through `facts` (a `_facts_reader` under t's W), so
@@ -204,8 +202,10 @@ def _covering_scan(t: EdgeType, xi, facts) -> tuple[float, float, bool, float]:
     max_distortion_entropy).  Infeasible variants and infeasible
     distortion types are skipped; the zero budget always contributes t
     itself against the zero type, so t's facts, read first to refuse an
-    empty class, cost no extra work.
+    empty class, cost no extra work.  n above `limit` is refused first.
     """
+    if t.n > limit:
+        raise EnumerationLimitError(f"n={t.n} exceeds Omega scan limit {limit}")
     if facts(t.r, t.c) is None:
         raise EmptyResult("empty class")
     n = t.n
@@ -329,8 +329,8 @@ def rd_bounds(
     a repeated call solves, counts and builds nothing."""
     if dens is None:
         dens = t.density()
-    facts = _facts_reader(t.w, tol, limit)
-    scan = _covering_scan(t, xi, facts)
+    facts = _facts_reader(t.w, tol)
+    scan = _covering_scan(t, xi, facts, limit)
     upper = _upper_report(t, xi, delta, dens, scan)
     return upper, _lower_report(t, xi, delta, delta_hat, dens, facts(t.r, t.c), scan[3])
 
@@ -349,7 +349,7 @@ def lemma_codebook_size(
     """The covering lemma's (deliberately loose) codebook size: e to the
     upper bound's exponent before its division by n^2."""
     n = t.n
-    diff, gap, _, _ = _covering_scan(t, xi, _facts_reader(t.w, tol, limit))
+    diff, gap, _, _ = _covering_scan(t, xi, _facts_reader(t.w, tol), limit)
     return math.exp(sum(_covering_terms(n, xi, delta, dens, gap).values(), diff * n**2))
 
 

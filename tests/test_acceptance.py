@@ -142,7 +142,7 @@ def test_criterion_02_partition(buckets3, buckets4):
     for n, buckets in ((3, buckets3), (4, buckets4)):
         total = 0
         for (r, c), bits in buckets.items():
-            assert count_class(EdgeType(r, c), limit=n) == len(bits), (r, c)
+            assert count_class(EdgeType(r, c)) == len(bits), (r, c)
             total += len(bits)
         assert total == 1 << (n * n)
         for r in product(range(n + 1), repeat=n):

@@ -163,29 +163,58 @@ class TestCount:
         assert json.loads(out) == {"count": 0}
 
     def test_limit_exceeded_exit_four(self, capsys, write_json):
-        big = {"r": [0] * 7, "c": [0] * 7}
-        code, _ = run(capsys, "count", "--type", write_json(big))
-        assert code == 4
+        # the 9-regular class at n = 30 runs out of the counting budget
+        code = main(["count", "--type", write_json({"r": [9] * 30, "c": [9] * 30})])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == f"resource limit: counting exceeds its budget of {enumeration.COUNT_BUDGET} column-class visits\n"
+
+    @pytest.mark.parametrize("k, n, size", [(2, 7, 3_110_940), (2, 8, 187_530_840), (3, 7, 68_938_800), (3, 8, 24_046_189_440)])
+    def test_regular_classes_above_the_enumeration_limit(self, capsys, write_json, k, n, size):
+        # OEIS A001499 (2-regular) and A001501 (3-regular); counting takes no size flag
+        code, out = run(capsys, "count", "--type", write_json({"r": [k] * n, "c": [k] * n}))
+        assert code == 0 and json.loads(out) == {"count": size}
+
+    @pytest.mark.parametrize("n", [40, 1200, 1500])
+    def test_large_classes_counted(self, capsys, write_json, n):
+        # a permutation class of n! members (n = 1200 once overflowed the recursion), and the
+        # 3-regular class at n = 40
+        k = 3 if n == 40 else 1
+        code, out = run(capsys, "count", "--type", write_json({"r": [k] * n, "c": [k] * n}))
+        assert code == 0
+        if k == 1:
+            assert out == f'{{"count": {math.factorial(n)}}}\n'
+
+    @pytest.mark.parametrize("argv", [["count"], ["bounds", "--limit", "1600"]], ids=lambda v: v[0])
+    def test_count_past_the_digit_limit_exit_four(self, capsys, write_json, argv):
+        # 1600! has 4 434 digits, more than Python writes as text
+        code = main([argv[0], "--type", write_json({"r": [1] * 1600, "c": [1] * 1600}), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == f"resource limit: an integer in the output exceeds the limit of {sys.get_int_max_str_digits()} digits\n"
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["count"], "n=7 exceeds counting limit 6"),
-            (["delta", "--delta", "0.25"], "n=7 exceeds counting limit 6"),
-            (["rd-bounds", "--xi", "0"], "n=7 exceeds counting limit 6"),
+            (["count"], "counting exceeds its budget of 100 column-class visits"),
+            (["delta", "--delta", "0.25"], "counting exceeds its budget of 100 column-class visits"),
+            (["rd-bounds", "--xi", "0"], "n=7 exceeds Omega scan limit 6"),
             (["enumerate"], "n=7 exceeds enumeration limit 6 (estimated work 2^49)"),
         ],
         ids=lambda v: v[0] if isinstance(v, list) else None,
     )
-    def test_refusal_names_what_was_refused(self, capsys, write_json, argv, message):
-        # the counting DP's cost does not grow like 2^(n^2), so its refusal gives no such estimate
+    def test_refusal_names_what_was_refused(self, capsys, write_json, monkeypatch, argv, message):
+        # counting is refused by its own work budget, whatever n is; the Omega scan and
+        # enumeration by n
+        monkeypatch.setattr(enumeration, "COUNT_BUDGET", 100)
         t = write_json({"r": [3] * 7, "c": [3] * 7})
         code = main([argv[0], "--type", t, *argv[1:]])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
         assert captured.err == f"resource limit: {message}\n"
+        monkeypatch.undo()
         if argv[0] != "enumerate":
-            assert main([argv[0], "--type", t, *argv[1:], "--limit", "7"]) == 0
+            assert main([argv[0], "--type", t, *argv[1:], *(["--limit", "7"] if argv[0] == "rd-bounds" else [])]) == 0
             capsys.readouterr()
 
 
@@ -319,7 +348,7 @@ class TestMaxentAndBounds:
         # the invariant cells come from a flow, so the solve answers above
         # --limit (it used to exit 4); only the count is left out of `bounds`
         t = parse_type(DERANGEMENTS_7)
-        assert enumeration.count_class(t, limit=7) > 0
+        assert enumeration.count_class(t) > 0
         code, out = run(capsys, cmd, "--type", write_json(DERANGEMENTS_7))
         got = json.loads(out)
         assert code == 0
@@ -622,6 +651,15 @@ class TestDeltaAndConditional:
         got = json.loads(out)
         assert got["count_delta"] == 2
         assert got["card_lower"] <= got["card_upper"]
+
+    def test_delta_above_the_enumeration_limit(self, capsys, write_json):
+        # the derangements of 7 vertices, a delta-class that is the class itself: the
+        # measured counting gap makes the lower bound ln(count) / n^2
+        code, out = run(capsys, "delta", "--type", write_json(DERANGEMENTS_7), "--delta", "0.5")
+        got = json.loads(out)
+        assert code == 0 and got["count_delta"] == 1854
+        assert got["card_lower"] == pytest.approx(math.log(1854) / 49, rel=1e-12)
+        assert got["card_lower"] < got["card_upper"]
 
     def test_dens_zero_counts_the_plain_class(self, capsys, write_json):
         # the delta-class admits degrees within delta * dens, so dens = 0 leaves the class itself
@@ -1316,6 +1354,7 @@ class TestErrorHandling:
             ("normalize", "--tol", "1"),
             ("count", "--tol", "1"),
             ("distortion", "--limit", "3"),
+            ("count", "--limit", "7"),
         ],
     )
     def test_removed_flags_rejected(self, capsys, write_json, flag):
@@ -1336,14 +1375,14 @@ LONG_OPTIONS = {
     "structure": {"type"},
     "invariants": {"type"},
     "components": {"type"},
-    "count": {"type", "limit"},
+    "count": {"type"},
     "enumerate": {"type", "limit", "delta", "dens"},
     "interchange-check": {"type", "limit"},
     "maxent": {"type", "tol"},
     "bounds": {"type", "tol", "limit"},
     "prob": {"type", "params", "tol", "limit"},
     "sanov": {"params", "types", "tol", "limit"},
-    "delta": {"type", "tol", "limit", "delta", "dens"},
+    "delta": {"type", "tol", "delta", "dens"},
     "conditional": {"type", "graph", "limit", "delta", "dens"},
     "distortion": {"graph", "graph2"},
     "cover": {"type", "tol", "limit", "xi", "delta", "dens", "m", "seed"},

@@ -128,11 +128,20 @@ class TestCountDynamicProgram:
         ],
     )
     def test_regular_classes_beyond_default_limit(self, k, n, size):
-        assert count_class(EdgeType((k,) * n, (k,) * n), limit=n) == size
+        assert count_class(EdgeType((k,) * n, (k,) * n)) == size
 
-    def test_default_limit_enforced(self):
-        with pytest.raises(EnumerationLimitError):
-            count_class(EdgeType((2,) * 7, (2,) * 7))
+    def test_budget_edge(self, monkeypatch):
+        # The derangements of 3 vertices cost 11 column-class visits, a step being charged
+        # the classes of the state it leaves: row 0 takes either column W allows from the
+        # start state of three classes (3 + 3), row 1 its one column from each of the two
+        # states of two classes (2 + 2), and row 2 the last column (1).
+        t = EdgeType((1,) * 3, (1,) * 3, DiGraph([[int(i != j) for j in range(3)] for i in range(3)]))
+        monkeypatch.setattr(enumeration, "COUNT_BUDGET", 11)
+        assert count_class(t) == count_delta_class(t, 0, 1) == 2
+        monkeypatch.setattr(enumeration, "COUNT_BUDGET", 10)
+        for count in (lambda: count_class(t), lambda: count_delta_class(t, 0, 1)):
+            with pytest.raises(EnumerationLimitError, match="^counting exceeds its budget of 10 column-class visits$"):
+                count()
 
     def test_delta_count_matches_enumeration(self):
         types = [
@@ -195,7 +204,7 @@ class TestCountDynamicProgram:
 
 def delta_pair_sum(t, delta, dens):
     """|T_delta| as the sum of the class sizes over the admissible degree pairs."""
-    return sum(count_class(EdgeType(r, c, t.w), limit=t.n) for r, c in enumeration._delta_types(t, delta, dens))
+    return sum(count_class(EdgeType(r, c, t.w)) for r, c in enumeration._delta_types(t, delta, dens))
 
 
 class TestInterchange:
@@ -385,7 +394,7 @@ class TestClassDispatch:
         derangements = EdgeType((1,) * 7, (1,) * 7, DiGraph([[int(i != j) for j in range(7)] for i in range(7)]))
         w = DiGraph([[1] * 7] * 6 + [[0] * 7])
         types = [derangements, EdgeType((1,) * 6 + (0,), (1,) * 6 + (0,), w), EdgeType((1,) * 7, (1,) * 7, w)]
-        assert [class_nonempty(t) for t in types] == [count_class(t, limit=7) > 0 for t in types]
+        assert [class_nonempty(t) for t in types] == [count_class(t) > 0 for t in types]
         assert [class_nonempty(t) for t in types] == [True, True, False]
 
 

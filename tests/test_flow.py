@@ -163,7 +163,7 @@ class TestCountDP:
         assert count_class(EdgeType((2,) * n, (2,) * n)) == size
 
     def test_three_regular_n8(self):
-        assert count_class(EdgeType((3,) * 8, (3,) * 8), limit=8) == 24046189440
+        assert count_class(EdgeType((3,) * 8, (3,) * 8)) == 24046189440
 
 
 def pin_types():

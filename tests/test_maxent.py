@@ -359,7 +359,7 @@ class TestDegreeSequenceSolve:
         for name, t in degree_sequence_types():
             if t.n > 6:
                 break
-            h = ratedistortion._class_facts(t.r, t.c, full[t.n], None, 6)[0]
+            h = ratedistortion._class_facts(t.r, t.c, full[t.n], None)[0]
             assert h == solve_maxent(t)[2].entropy_nats, (name, t.r, t.c)
 
     def test_groups_are_the_orbits_of_the_reduced_type(self):
@@ -455,28 +455,29 @@ LIMITED_CALLS = {
     "typeclass_prob": lambda t, **kw: probability.typeclass_prob(UNIFORM_7, t, **kw),
     "typeclass_prob_bounds": lambda t, **kw: probability.typeclass_prob_bounds(UNIFORM_7, t, **kw),
     "sanov_bounds": lambda t, **kw: probability.sanov_bounds(UNIFORM_7, [t], **kw),
-    "delta_class_cardinality_bounds": lambda t, **kw: ratedistortion.delta_class_cardinality_bounds(
-        t, 0.5, 1, **kw
-    ),
+    "delta_class_cardinality_bounds": lambda t, **kw: ratedistortion.delta_class_cardinality_bounds(t, 0.5, 1),
     "rd_bounds": lambda t, **kw: ratedistortion.rd_bounds(t, 0, 0.0, 0.2, **kw),
 }
-# The calls that need the count for every term, so refuse n above the limit.
-REFUSED = {"delta_class_cardinality_bounds", "rd_bounds"}
+# The calls that take no limit and answer in full: counting takes no size option.
+UNLIMITED = {"solve_maxent", "delta_class_cardinality_bounds"}
+# The call that scans Omega, so refuses n above the limit.
+REFUSED = {"rd_bounds"}
 
 
 class TestRestrictedSolveLimit:
     """With W restricted the solve reads the invariant cells off one 0/1
     flow, so it answers above `limit` (`solve_maxent` takes none); a
-    caller's `limit` still gates counting the class."""
+    caller's `limit` still gates the count in `barvinok_bounds`, the
+    enumerations of the probability bounds and the Omega scan."""
 
     @pytest.mark.parametrize("name", LIMITED_CALLS)
     def test_limit_reaches_the_solve(self, name):
         call = LIMITED_CALLS[name]
         if name in REFUSED:
-            with pytest.raises(EnumerationLimitError, match="limit 6"):
+            with pytest.raises(EnumerationLimitError, match="^n=7 exceeds Omega scan limit 6$"):
                 call(DERANGEMENTS_7)
         else:
-            assert (None in call(DERANGEMENTS_7)) == (name != "solve_maxent")
+            assert (None in call(DERANGEMENTS_7)) == (name not in UNLIMITED)
         assert None not in call(DERANGEMENTS_7, limit=7)
         if name == "solve_maxent":
             f, _, _ = solve_maxent(DERANGEMENTS_7)

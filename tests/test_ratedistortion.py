@@ -10,7 +10,7 @@ import pytest
 
 from test_probability import loop_log_graph_prob, same_floats
 
-from edgetype import probability, ratedistortion
+from edgetype import enumeration, probability, ratedistortion, typealg
 from edgetype.enumeration import (
     EnumerationLimitError,
     class_nonempty,
@@ -150,11 +150,15 @@ class TestDeltaClassCardinalityBounds:
         with pytest.raises(ValueError):
             delta_class_cardinality_bounds(EdgeType((2, 0), (2, 0)), 0.1, 1)
 
-    def test_above_limit_raises(self):
-        # the counting gap is measured, never taken as 0, so n > limit refuses
+    def test_above_limit_raises(self, monkeypatch, cold_memo):
+        # the counting gap is measured, never taken as 0, so a count past its budget
+        # refuses the bounds; n itself is no limit
         t = EdgeType((1,) * 7, (1,) * 7)
-        with pytest.raises(EnumerationLimitError):
+        monkeypatch.setattr(enumeration, "COUNT_BUDGET", 6)
+        with pytest.raises(EnumerationLimitError, match="^counting exceeds its budget of 6 "):
             delta_class_cardinality_bounds(t, 0.2, 1)
+        monkeypatch.undo()
+        assert delta_class_cardinality_bounds(t, 0.2, 1)[0] == pytest.approx(math.log(5040) / 49, rel=1e-12)
 
     def test_upper_monotone_in_delta(self):
         t = EdgeType((1, 1, 1), (1, 1, 1))
@@ -168,7 +172,6 @@ def high_prob_set_lower(
     eta: float,
     dens: int,
     tol: float | None = None,
-    limit: int = 6,
 ) -> tuple[float, bool]:
     """Lower bound on (1/n^2) ln|A| for any set A with probability >= eta
     under any margin-matching product graph.  Returns (bound, vacuous);
@@ -178,7 +181,7 @@ def high_prob_set_lower(
     n = t.n
     vacuous = 4.0 * n * math.exp(-2.0 * dens * dens * delta_hat * delta_hat / n) > eta / 2.0
     h = entropy(t, tol)
-    gap = max(0.0, counting_gap(h, count_class(t, limit=limit), n))
+    gap = max(0.0, counting_gap(h, count_class(t), n))
     lnn = math.log(n) if n > 1 else 0.0
     bound = (
         h / n**2
@@ -229,7 +232,7 @@ class TestCoveringBound:
     def test_lemma_size_keeps_the_lemma_summation_order(self, t, xi, delta):
         # cover's m_target is ceil of this value, so it must not move by an ulp
         n, dens = t.n, t.density()
-        diff, gap, _, _ = ratedistortion._covering_scan(t, xi, ratedistortion._facts_reader(t.w, None, 6))
+        diff, gap, _, _ = ratedistortion._covering_scan(t, xi, ratedistortion._facts_reader(t.w, None), 6)
         lnn = math.log(n) if n > 1 else 0.0
         exponent = (
             diff * n**2
@@ -514,14 +517,14 @@ class TestRelabelledTypes:
         assert up.assumption_flags["density_preserved"] == density_ok
 
 
-def fresh_facts(r, c, w, tol=None, limit=6):
+def fresh_facts(r, c, w, tol=None):
     """(H, gap floored at 0) of the type (r, c) under w, or None when its
     class is empty, computed without any memo."""
     t = EdgeType(r, c, w)
     if not class_nonempty(t):
         return None
     h = solve_maxent(t, tol=tol)[2].entropy_nats
-    return h, max(0.0, counting_gap(h, count_class(t, limit=limit), t.n))
+    return h, max(0.0, counting_gap(h, count_class(t), t.n))
 
 
 MEMO_TYPES = [t for n in (3, 4) for density in (1.0, 0.75) for t in seeded_types(n, 3, density)]
@@ -534,14 +537,14 @@ class TestFactsMemo:
     @pytest.mark.parametrize("t", MEMO_TYPES)
     def test_facts_equal_a_fresh_computation(self, t):
         # whatever the memo already holds, on t and on variants of it, some empty
-        read = ratedistortion._facts_reader(t.w, None, 6)
+        read = ratedistortion._facts_reader(t.w, None)
         for r, c in [(t.r, t.c), *sign_variants(t, (1,) * t.n, (0,) * t.n)]:
             rep = ratedistortion._class_key(r, c, t.unrestricted)
             assert read(r, c) == fresh_facts(*rep, t.w)
 
     @pytest.mark.parametrize("t", [t for t in MEMO_TYPES if t.unrestricted])
     def test_relabellings_share_one_entry(self, t, cold_memo):
-        read = ratedistortion._facts_reader(t.w, None, 6)
+        read = ratedistortion._facts_reader(t.w, None)
         facts = [read(u.r, u.c) for u in (t, *(relabelled(t, k) for k in range(3)))]
         assert facts == [facts[0]] * 4
         info = ratedistortion._class_facts.cache_info()
@@ -549,23 +552,42 @@ class TestFactsMemo:
 
     def test_restricted_ws_with_equal_degrees_do_not_share(self, cold_memo):
         # both W have every row and column degree 2
-        facts = [ratedistortion._facts_reader(w, None, 6)((1, 1, 1), (1, 1, 1)) for w in SAME_DEGREE_WS]
+        facts = [ratedistortion._facts_reader(w, None)((1, 1, 1), (1, 1, 1)) for w in SAME_DEGREE_WS]
         assert facts == [fresh_facts((1, 1, 1), (1, 1, 1), w) for w in SAME_DEGREE_WS]
         assert ratedistortion._class_facts.cache_info().currsize == 2
 
-    def test_tol_and_limit_are_part_of_the_key(self, cold_memo):
+    def test_tol_is_part_of_the_key(self, cold_memo):
         t = EdgeType((2, 1, 1, 0), (1, 2, 0, 1))
-        settings = [(None, 6), (1e-6, 6), (None, 5)]
-        facts = [ratedistortion._facts_reader(t.w, tol, limit)(t.r, t.c) for tol, limit in settings]
-        assert facts == [fresh_facts((2, 1, 1, 0), (2, 1, 1, 0), t.w, tol, limit) for tol, limit in settings]
-        assert ratedistortion._class_facts.cache_info().currsize == 3
+        facts = [ratedistortion._facts_reader(t.w, tol)(t.r, t.c) for tol in (None, 1e-6)]
+        assert facts == [fresh_facts((2, 1, 1, 0), (2, 1, 1, 0), t.w, tol) for tol in (None, 1e-6)]
+        assert ratedistortion._class_facts.cache_info().currsize == 2
 
-    def test_refused_count_is_refused_again(self, cold_memo):
+    @pytest.mark.parametrize("w", [DiGraph.complete(3), SAME_DEGREE_WS[0]])
+    def test_one_flow_per_miss(self, cold_memo, monkeypatch, w):
+        # the solve refuses an empty class itself, so no separate emptiness test runs
+        # its flow again; with W complete no flow runs at all
+        expected = fresh_facts((1, 1, 1), (1, 1, 1), w)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return one_member(*args)
+
+        one_member = typealg._one_member
+        monkeypatch.setattr(typealg, "_one_member", counted)
+        read = ratedistortion._facts_reader(w, None)
+        assert read((1, 1, 1), (1, 1, 1)) == expected
+        assert read((2, 0, 0), (2, 0, 0)) is None  # empty under both W
+        assert len(calls) == (0 if w.adj.all() else 2)
+
+    def test_refused_count_is_refused_again(self, cold_memo, monkeypatch):
         t = EdgeType((3,) * 7, (3,) * 7)
+        monkeypatch.setattr(enumeration, "COUNT_BUDGET", 100)
         for _ in range(2):
-            with pytest.raises(EnumerationLimitError):
-                rd_bounds(t, 0, 0.2, 0.0)
+            with pytest.raises(EnumerationLimitError, match="^counting exceeds its budget"):
+                rd_bounds(t, 0, 0.2, 0.0, limit=7)
         assert ratedistortion._class_facts.cache_info().currsize == 0
+        monkeypatch.undo()
         up, _ = rd_bounds(t, 0, 0.2, 0.0, limit=7)
         assert up.slack_terms["counting_gap"] > 0
 
@@ -591,13 +613,15 @@ class TestFactsMemo:
         ],
     )
     def test_scan_tests_t_once(self, t, monkeypatch, cold_memo):
+        # the solve is the emptiness test: it refuses an empty class
         tested = []
 
         def recorded(tt, *args, **kwargs):
             tested.append((tt.r, tt.c))
-            return class_nonempty(tt, *args, **kwargs)
+            return solve(tt, *args, **kwargs)
 
-        monkeypatch.setattr(ratedistortion, "class_nonempty", recorded)
+        solve = ratedistortion._solve
+        monkeypatch.setattr(ratedistortion, "_solve", recorded)
         if class_nonempty(t):
             rd_bounds(t, Fraction(1, 3), 0.25, 0.2)
         else:
