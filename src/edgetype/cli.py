@@ -438,30 +438,22 @@ def cmd_rn_exact(args) -> int:
     if args.eps is not None and not args.params:
         raise ValueError("--eps needs --params")
     t = parse_type(_load_json(args.type))
-    ratedistortion._check_oracle_n(t.n, args.rn_limit)  # before any enumeration
+    # the table of one source graph, checked before any enumeration or weighing
+    ratedistortion._check_table("exact_rn_prob" if args.params else "exact_rn", t.n, 1)
     if args.params:
-        nonempty = enumeration.class_nonempty(t)
-    else:
-        source = list(enumeration.enumerate_class(t, limit=args.limit))
-        nonempty = bool(source)
-    if not nonempty:
-        raise EmptyResult("empty class")
-    if args.params:
+        if not enumeration.class_nonempty(t):
+            raise EmptyResult("empty class")
         params = parse_family_params(_load_json(args.params))
         if params.n != t.n:
             raise ValueError("dimension mismatch")
-        f = probability.family_d_graph(params)
-        rate, book = ratedistortion.exact_rn_prob(f, args.d, args.eps or 0.0, limit=args.rn_limit)
+        rate, book = ratedistortion.exact_rn_prob(probability.family_d_graph(params), args.d, args.eps or 0.0)
     else:
-        rate, book = ratedistortion.exact_rn(source, args.d, limit=args.rn_limit)
-    _emit(
-        {
-            "rate_bits": rate,
-            "codebook_size": len(book.graphs),
-            "codebook": [graph_json(g) for g in book.graphs],
-        },
-        args.out,
-    )
+        source = list(enumeration.enumerate_class(t, limit=t.n))
+        if not source:
+            raise EmptyResult("empty class")
+        rate, book = ratedistortion.exact_rn(source, args.d)
+    codebook = [graph_json(g) for g in book.graphs]
+    _emit({"rate_bits": rate, "codebook_size": len(codebook), "codebook": codebook}, args.out)
     return EXIT_OK
 
 
@@ -522,10 +514,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp = add("rd-bounds", cmd_rd_bounds, "type", "tol", "limit", "xi", "delta", "dens")
     sp.add_argument("--delta-hat", dest="delta_hat", type=float, default=0.0)
-    sp = add("rn-exact", cmd_rn_exact, "type", "params", "limit", params={"required": False})
+    sp = add("rn-exact", cmd_rn_exact, "type", "params", params={"required": False})
     sp.add_argument("--d", type=_fraction, required=True, help="distortion threshold, e.g. 1/3")
     sp.add_argument("--eps", type=float, default=None, help="uncovered mass allowed; needs --params")
-    sp.add_argument("--rn-limit", dest="rn_limit", type=int, default=3)
     return p
 
 

@@ -162,18 +162,18 @@ def _kl_cell(p: float, q: float) -> float:
 
 
 def kl_sum(pt: ProductRandomGraph, f: ProductRandomGraph) -> float:
-    """Sum over W-allowed cells of D((p_T)_ij || p_ij); +inf encodes an
+    """Sum over every cell, row-major, of D((p_T)_ij || p_ij); +inf encodes an
     unrecoverable continuity failure (a forced cell of f that is not the
-    matching invariant cell of the class)."""
+    matching invariant cell of the class).  A cell pt's W forbids has
+    (p_T)_ij = 0, so it adds -ln(1 - p_ij), which every member pays there,
+    and +0.0 where f is 0 too."""
     if pt.n != f.n:
         raise ValueError("dimension mismatch")
     total = 0.0
-    for i in range(pt.n):
-        for j in range(pt.n):
-            if pt.w.adj[i, j]:
-                total += _kl_cell(float(pt.p[i, j]), float(f.p[i, j]))
-                if math.isinf(total):
-                    return math.inf
+    for p, q in zip(pt.p.ravel().tolist(), f.p.ravel().tolist()):
+        total += _kl_cell(p, q)
+        if math.isinf(total):
+            return math.inf
     return total
 
 
@@ -307,13 +307,17 @@ def sanov_bounds(
     return lower, upper, exact
 
 
+def _hoeffding_tail(n: int, dens: int, delta: float) -> float:
+    """4n exp(-2 dens^2 delta^2 / n): Hoeffding's bound on Pr(F_T leaves its δ-class)."""
+    return 4.0 * n * math.exp(-2.0 * dens * dens * delta * delta / n)
+
+
 def delta_class_prob_lower(t: EdgeType, delta: float, dens: int) -> float:
     """Hoeffding lower bound on Pr(F_T lands in the δ-class of its own
-    type): max(0, 1 - 4n exp(-2 dens^2 delta^2 / n))."""
+    type): max(0, 1 - `_hoeffding_tail`)."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    n = t.n
-    return max(0.0, 1.0 - 4.0 * n * math.exp(-2.0 * dens * dens * delta * delta / n))
+    return max(0.0, 1.0 - _hoeffding_tail(t.n, dens, delta))
 
 
 def verify_mixture(

@@ -34,7 +34,7 @@ from .enumeration import (
 )
 from .graphs import DiGraph, DistortionValue, _pack, _unpack, density
 from .maxent import ProductRandomGraph, _solve, binary_entropy, counting_gap
-from .probability import _log_probs
+from .probability import _hoeffding_tail, _log_probs
 from .typealg import EdgeType, EmptyResult
 
 __all__ = [
@@ -56,7 +56,7 @@ POOL_DRAW_CAP = 10_000_000
 BLOCK_CELLS = 1 << 19  # candidate x source cells per coverage chunk
 MASS_CELLS = 1 << 15  # candidate x element cells per batched mass chunk
 REACH_BLOCK = 16  # fewest candidates whose uncovered masses the bound computes at once
-TABLE_MAX_N = 4  # the exact oracles tabulate all 2^(n^2) graphs
+ORACLE_CELLS = 1 << 23  # candidate x source cells an exact oracle's table may hold
 MEMO_SIZE = 4096  # entries of the process-wide memo of class facts
 
 
@@ -185,8 +185,7 @@ def delta_class_cardinality_bounds(
         raise EmptyResult("empty class")
     n = t.n
     h, gap = facts
-    lnn = math.log(n) if n > 1 else 0.0
-    lower = h / n**2 - gap * lnn / n
+    lower = h / n**2 - gap * math.log(n) / n
     upper = h / n**2 + binary_entropy(delta) + math.log(max(n * dens, 1)) / n**2
     return lower, upper
 
@@ -234,7 +233,7 @@ def _covering_scan(t: EdgeType, xi, facts, limit: int) -> tuple[float, float, bo
 def _covering_terms(n: int, xi, delta: float, dens: int, gap: float) -> dict:
     """The covering lemma's slack exponents in nats, in the lemma's order;
     per cell (divided by n^2) they are the upper bound's slack terms."""
-    lnn = math.log(n) if n > 1 else 0.0
+    lnn = math.log(n)
     return {
         "omega_count": (2.0 * float(_as_fraction(xi)) * n + 2.0) * lnn,
         "delta_entropy": n**2 * binary_entropy(delta),
@@ -269,14 +268,13 @@ def _lower_report(
     h_t, gap = t_facts
     best = (h_t - h_dist_max) / n**2
     xf = _as_fraction(xi)
-    lnn = math.log(n) if n > 1 else 0.0
-    hoeffding_ok = 4.0 * n * math.exp(-2.0 * dens * dens * delta_hat * delta_hat / n) < 0.5
+    hoeffding_ok = _hoeffding_tail(n, dens, delta_hat) < 0.5
     slack = {
         "typicality_entropies": -(binary_entropy(delta_hat) + binary_entropy(delta)),
         "half_term": math.log(0.5) / n**2,
         "type_count": -(2.0 + gap) * math.log(n + 1) / n,
         "density_log_terms": -2.0 * math.log(max(n * dens, 1)) / n**2,
-        "omega_count": -2.0 * (float(xf) * n + 1.0) * lnn / n**2,
+        "omega_count": -2.0 * (float(xf) * n + 1.0) * math.log(n) / n**2,
     }
     raw = best + sum(slack.values())
     return RDReport(
@@ -434,14 +432,17 @@ def verify_cover(
 # ---------------------------------------------------------------------------
 
 
-def _check_oracle_n(n: int, limit: int) -> None:
-    if n > limit:
-        raise ValueError(f"n={n} exceeds exact oracle limit {limit}")
-    if n > TABLE_MAX_N:
-        raise ValueError(f"n={n} exceeds the exact oracles' ceiling n={TABLE_MAX_N} (2^(n^2) graphs)")
+def _check_table(oracle: str, n: int, sources: int) -> None:
+    """Refuse a table of `sources` source graphs x all 2^(n^2) candidates
+    past ORACLE_CELLS cells; one source graph alone passes it only at n <= 4."""
+    cells = sources << (n * n)
+    if cells > ORACLE_CELLS:
+        raise EnumerationLimitError(
+            f"{oracle} needs 2^{n * n} x {sources} = {cells} candidate x source cells, over its budget of {ORACLE_CELLS}"
+        )
 
 
-@lru_cache(maxsize=TABLE_MAX_N + 1)  # n = 0..TABLE_MAX_N
+@lru_cache(maxsize=None)  # n <= 4 under ORACLE_CELLS
 def _xor_weights(n: int) -> np.ndarray:
     """Worst row or column weight of every XOR pattern x in [0, 2^(n^2)),
     in the row-major bit order of `DiGraph.to_bits`; one read-only table
@@ -620,43 +621,45 @@ def _smallest_cover(
     raise ValueError("source not coverable")
 
 
-def exact_rn(
-    source: Iterable[DiGraph], d, limit: int = 3
+def _exact_cover(
+    oracle: str, n: int, source_bits: list[int], weights: list[float], need: float, d, provenance: str
 ) -> tuple[float, Codebook]:
+    """The tail both exact oracles share: the smallest codebook over all
+    graphs on [n] whose coverage of the weighted source within d meets the
+    need, as (rate in bits per potential edge, codebook).  The provenance
+    may name the candidate count as {}."""
+    _check_table(oracle, n, len(source_bits))
+    cands = _coverage_masks(source_bits, n, _as_fraction(d))
+    if not cands:
+        raise ValueError("no candidate covers anything")
+    chosen = _smallest_cover(cands, weights, need)
+    book = _codebook(n, chosen, provenance.format(len(cands)))
+    return math.log2(len(chosen)) / n**2, book
+
+
+def exact_rn(source: Iterable[DiGraph], d) -> tuple[float, Codebook]:
     """Exact combinatorial rate-distortion point: the smallest codebook
     (over all graphs on [n]) covering every source graph within d.
     Returns (rate in bits per potential edge, optimal codebook)."""
     graphs = sorted(set(source), key=DiGraph.to_bits)
     if not graphs:
         return 0.0, _codebook(0, (), "empty source", m_target=0)
-    n = graphs[0].n
-    _check_oracle_n(n, limit)
-    thr = _as_fraction(d)
-    source_bits = [g.to_bits() for g in graphs]
-    cands = _coverage_masks(source_bits, n, thr)
-    if not cands:
-        raise ValueError("no candidate covers anything")
-    chosen = _smallest_cover(cands, [1.0] * len(source_bits), len(source_bits))
-    book = _codebook(n, chosen, f"exact set cover over {len(cands)} candidate coverage patterns")
-    return math.log2(len(chosen)) / n**2, book
+    bits = [g.to_bits() for g in graphs]
+    provenance = "exact set cover over {} candidate coverage patterns"
+    return _exact_cover("exact_rn", graphs[0].n, bits, [1.0] * len(bits), len(bits), d, provenance)
 
 
-def exact_rn_prob(
-    f: ProductRandomGraph, d, eps: float, limit: int = 3
-) -> tuple[float, Codebook]:
+def exact_rn_prob(f: ProductRandomGraph, d, eps: float) -> tuple[float, Codebook]:
     """Exact probabilistic rate-distortion point: the smallest codebook
     leaving uncovered probability mass at most eps under f."""
     if not eps >= 0:  # else no codebook meets the need and every subset is tried
         raise ValueError(f"eps must be nonnegative, got {eps}")
     n = f.n
-    _check_oracle_n(n, limit)
-    thr = _as_fraction(d)
+    _check_table("exact_rn_prob", n, 1)  # before weighing all 2^(n^2) graphs
     weights = [math.exp(x) for x in _log_probs(f, _unpack(n, range(1 << (n * n)))).tolist()]
-    support = [i for i, w in enumerate(weights) if w > 0]
+    support = [i for i, w in enumerate(weights) if w > 0]  # graph i has bits i
     need = sum(weights[i] for i in support) - eps
     if need <= 0:
         return 0.0, _codebook(n, (), "eps covers everything", m_target=0)
-    cands = _coverage_masks(support, n, thr)  # graph i has bits i
-    best = _smallest_cover(cands, [weights[i] for i in support], need)
-    book = _codebook(n, best, f"exact weighted partial cover, eps={eps}")
-    return math.log2(len(best)) / n**2, book
+    provenance = f"exact weighted partial cover, eps={eps}"
+    return _exact_cover("exact_rn_prob", n, support, [weights[i] for i in support], need, d, provenance)

@@ -880,12 +880,24 @@ class TestCoverAndRD:
         assert code == 0
         assert json.loads(out)["codebook_size"] == 0
 
-    def test_rn_exact_above_table_ceiling_exit_two(self, capsys, write_json):
-        t = write_json({"r": [1] * 5, "c": [1] * 5})
-        code = main(["rn-exact", "--type", t, "--d", "0", "--rn-limit", "5"])
+    def test_rn_exact_above_table_budget_exit_four(self, capsys, write_json):
+        # n = 5 needs 2^25 cells for one source graph; an n = 4 family with all 65 536 graphs 2^32
+        family = ("--params", write_json({"a": [0] * 4, "b": [0] * 4}))
+        for spec, extra in (({"r": [1] * 5, "c": [1] * 5}, ()), ({"r": [1] * 4, "c": [1] * 4}, family)):
+            code = main(["rn-exact", "--type", write_json(spec), "--d", "0", *extra])
+            captured = capsys.readouterr()
+            assert code == 4 and captured.out == ""
+            assert captured.err.startswith("resource limit: exact_rn")
+            assert "candidate x source cells, over its budget of 8388608" in captured.err
+
+    def test_rn_exact_n4_needs_no_flag(self, capsys, write_json):
+        # the bytes the oracle printed at n = 4 when a flag had to admit it
+        code = main(["rn-exact", "--type", write_json({"r": [2, 1, 1, 0], "c": [1, 2, 0, 1]}), "--d", "1/4"])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "ceiling n=4" in captured.err
+        assert code == 0 and captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "6bd7148aff14453fdd6f43bf8dda11b540dd182df3cfd88b6e7eb0f459f5f190"
+        )
 
     def test_rn_exact_params_dimension_mismatch_exit_two(self, capsys, write_json):
         params = write_json({"a": [0, 0], "b": [0, 0]})
@@ -924,27 +936,26 @@ class TestCoverAndRD:
             '"codebook_size": 4, "rate_bits": 0.2222222222222222}\n'
         )
 
-    @pytest.mark.parametrize(
-        "extra, message", [((), "exact oracle limit 3"), (("--rn-limit", "7"), "ceiling n=4")]
-    )
-    def test_rn_exact_above_oracle_limit_exit_two(self, capsys, write_json, extra, message):
-        # n = 7 is above the enumeration limit too; the oracle's check comes first
-        t = write_json({"r": [1] * 7, "c": [1] * 7})
-        code = main(["rn-exact", "--type", t, "--d", "0", *extra])
+    @pytest.mark.parametrize("flag", ["--rn-limit", "--limit"])
+    def test_rn_exact_size_flags_are_usage_errors(self, capsys, write_json, flag):
+        # the table's own size rule replaced both flags
+        with pytest.raises(SystemExit) as exc:
+            main(["rn-exact", "--type", write_json(PERMUTATIONS_3), "--d", "0", flag, "4"])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert message in captured.err
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {flag} 4" in captured.err
 
     def test_rn_exact_refuses_n_before_enumerating(self, capsys, write_json, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the class was enumerated")
 
         monkeypatch.setattr(enumeration, "_members", refuse)
-        t = write_json({"r": [3] * 6, "c": [3] * 6})
-        for extra in ((), ("--params", write_json({"a": [0] * 6, "b": [0] * 6}))):
+        t = write_json({"r": [2] * 5, "c": [2] * 5})
+        for extra in ((), ("--params", write_json({"a": [0] * 5, "b": [0] * 5}))):
             code = main(["rn-exact", "--type", t, "--d", "0", *extra])
             captured = capsys.readouterr()
-            assert code == 2 and "exact oracle limit 3" in captured.err
+            assert code == 4 and captured.out == ""
+            assert "2^25 x 1 = 33554432 candidate x source cells" in captured.err
 
     def test_rn_exact_params_does_not_enumerate(self, capsys, write_json, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1387,7 +1398,7 @@ LONG_OPTIONS = {
     "distortion": {"graph", "graph2"},
     "cover": {"type", "tol", "limit", "xi", "delta", "dens", "m", "seed"},
     "rd-bounds": {"type", "tol", "limit", "xi", "delta", "delta-hat", "dens"},
-    "rn-exact": {"type", "params", "limit", "d", "eps", "rn-limit"},
+    "rn-exact": {"type", "params", "d", "eps"},
 }
 
 

@@ -44,8 +44,6 @@ def test_traced_names_resolve():
 # Size caps that differ from the enumeration default on purpose.
 OWN_LIMITS = {
     ("enumeration", "partition_by_type"): 4,
-    ("ratedistortion", "exact_rn"): 3,
-    ("ratedistortion", "exact_rn_prob"): 3,
 }
 
 

@@ -404,6 +404,58 @@ class TestSanov:
             )
 
 
+def restricted_types(rng, n, count):
+    """Seeded types of random graphs inside a random W with a forbidden cell."""
+    types = []
+    while len(types) < count:
+        w = np.array([[rng.random() < 0.7 for _ in range(n)] for _ in range(n)])
+        if not w.all():
+            g = w & np.array([[rng.random() < rng.uniform(0.2, 0.8) for _ in range(n)] for _ in range(n)])
+            types.append(EdgeType.of_graph(DiGraph(g), DiGraph(w)))
+    return types
+
+
+def restricted_cases():
+    """Restricted types at n <= 3, no-loop permutations among them, each with
+    a family on the complete W and one on t's own W."""
+    rng = random.Random(53)
+    no_loops = EdgeType((1, 1, 1), (1, 1, 1), DiGraph(1 - np.eye(3, dtype=np.uint8)))
+    types = [no_loops, *restricted_types(rng, 2, 6), *restricted_types(rng, 3, 12)]
+    return [(t, random_params(rng, t.n, w=w)) for t in types for w in (DiGraph.complete(t.n), t.w)]
+
+
+class TestRestrictedW:
+    """Where the family gives mass to a cell t's W forbids, every member
+    pays ln(1 - p) there; the KL sum charges it too.  A tight solve keeps
+    H's rounding below the 1e-12 these tests allow."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("t, params", restricted_cases())
+    def test_point_prob_is_each_members_prob(self, t, params):
+        f = family_d_graph(params)
+        point, lower, upper, exact = typeclass_prob(params, t, tol=self.TOL)
+        for g in enumerate_class(t):
+            assert graph_prob(f, g) == pytest.approx(point, rel=1e-12)
+        assert lower <= exact * (1 + 1e-12) and exact <= upper * (1 + 1e-12)
+
+    def test_forbidden_cells_without_mass_add_nothing(self):
+        # D(0 || 0) is +0.0: a family on t's own W gets the sum the allowed cells alone give
+        for t, params in restricted_cases()[1::2]:
+            ft, _, _ = solve_maxent(t)
+            f = family_d_graph(params)
+            allowed = [(float(ft.p[i, j]), float(f.p[i, j])) for i, j in zip(*np.nonzero(t.w.adj))]
+            assert kl_sum(ft, f) == sum(kl_bernoulli(p, q) for p, q in allowed)
+
+    def test_sanov_sandwich(self):
+        rng = random.Random(59)
+        for _ in range(25):
+            n = rng.choice((2, 3))
+            types = restricted_types(rng, n, rng.randrange(1, 4))
+            lower, upper, exact = sanov_bounds(random_params(rng, n), types, tol=self.TOL)
+            assert lower <= exact * (1 + 1e-12) and exact <= upper * (1 + 1e-12)
+
+
 class TestDeltaClassProbLower:
     def test_vacuous_small_delta(self):
         assert delta_class_prob_lower(EdgeType((1, 1), (1, 1)), 0.1, 1) == 0.0

@@ -739,6 +739,10 @@ class TestBatchedMasses:
         assert got == [0.0, 1e16, 0.0] == [loop_mass(m, weights) for m in (0b1111, 0b0111, 0b1001)]
 
 
+def refuse_table(*args, **kwargs):
+    raise AssertionError("the oracle went on past its size check")
+
+
 class TestExactRn:
     def test_two_member_class_at_zero(self):
         members = list(enumerate_class(EdgeType((1, 1), (1, 1))))
@@ -768,21 +772,48 @@ class TestExactRn:
         rate, book = exact_rn([], 0)
         assert rate == 0.0 and book.graphs == ()
 
-    def test_limit_enforced(self):
-        with pytest.raises(ValueError):
-            exact_rn([DiGraph.empty(4)], 0)
+    def test_limit_enforced(self, monkeypatch):
+        # 2^16 candidates x 128 source graphs is the largest table at n = 4; one more is refused
+        ratedistortion._check_table("exact_rn", 4, 128)
+        monkeypatch.setattr(ratedistortion, "_coverage_masks", refuse_table)
+        source = [DiGraph.from_bits(4, b) for b in range(129)]
+        with pytest.raises(EnumerationLimitError, match="exact_rn needs 2\\^16 x 129 = 8454144 candidate"):
+            exact_rn(source, 0)
+        f = ProductRandomGraph(p=np.full((4, 4), 0.5), w=DiGraph.complete(4))  # all 65 536 graphs
+        with pytest.raises(EnumerationLimitError, match="exact_rn_prob needs 2\\^16 x 65536"):
+            exact_rn_prob(f, 0, 0.5)
 
-    def test_table_ceiling_enforced(self):
-        # a raised limit cannot reach n = 5: the table would have 2^25 entries
+    def test_table_ceiling_enforced(self, monkeypatch):
+        # one source graph at n = 5 already needs 2^25 cells: refused before anything is weighed
+        monkeypatch.setattr(ratedistortion, "_coverage_masks", refuse_table)
+        monkeypatch.setattr(ratedistortion, "_log_probs", refuse_table)
         f = ProductRandomGraph(p=np.full((5, 5), 0.5), w=DiGraph.complete(5))
-        with pytest.raises(ValueError, match="ceiling n=4"):
-            exact_rn([DiGraph.empty(5)], 0, limit=5)
-        with pytest.raises(ValueError, match="ceiling n=4"):
-            exact_rn_prob(f, 0, 0.5, limit=5)
+        with pytest.raises(EnumerationLimitError, match="exact_rn needs 2\\^25 x 1 = 33554432 candidate"):
+            exact_rn([DiGraph.empty(5)], 0)
+        with pytest.raises(EnumerationLimitError, match="exact_rn_prob needs 2\\^25 x 1 = 33554432"):
+            exact_rn_prob(f, 0, 0.5)
+
+    def test_n4_answers_within_the_table(self):
+        # the one-member class of the empty graph, and a family with 8 graphs of positive mass
+        rate, book = exact_rn([DiGraph.empty(4)], 0)
+        assert rate == 0.0 and book.graphs == (DiGraph.empty(4),)
+        p = np.zeros((4, 4))
+        p[0, :3] = 0.5
+        f = ProductRandomGraph(p=p, w=DiGraph.complete(4))
+        rate, book = exact_rn_prob(f, Fraction(1, 4), 0.0)
+        assert len(book.graphs) == 2 and rate == pytest.approx(1 / 16)
+
+    def test_no_covering_candidate(self):
+        # below zero distortion no candidate covers a source graph, not even itself
+        with pytest.raises(ValueError, match="no candidate covers anything"):
+            exact_rn([DiGraph.empty(2)], Fraction(-1, 2))
+        with pytest.raises(ValueError, match="no candidate covers anything"):
+            exact_rn_prob(TestExactRnProb.uniform(2), Fraction(-1, 2), 0.0)
 
 
 class TestExactRnProb:
-    def uniform(self, n):
+    @staticmethod
+    def uniform(n):
         return ProductRandomGraph(
             p=np.full((n, n), 0.5), w=DiGraph.complete(n)
         )
